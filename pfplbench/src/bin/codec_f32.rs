@@ -1,0 +1,6 @@
+//! One-shot codec consumer over f32 inputs (`pfpl::compress` and
+//! `pfpl::decompress` only). See `pfplbench::codec::run` for flags.
+
+fn main() {
+    pfplbench::codec::run::<f32>();
+}
