@@ -166,8 +166,8 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     let input = o.require("-i").map_err(CliError::usage)?;
     let output = o.require("-o").map_err(CliError::usage)?;
     let archive = read_file(input)?;
-    let (header, _, _) =
-        Header::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
+    let Toc { header, .. } =
+        Toc::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     let mode = o.mode();
     let start = std::time::Instant::now();
     let bytes: Vec<u8> = match header.precision {

@@ -18,10 +18,9 @@
 //! chunk can take the staged fallback. Decompression inherits the fused
 //! decode the same way via [`chunk::decompress_chunk`].
 
+use crate::archive::Archive;
 use crate::chunk::{self, Scratch, CHUNK_BYTES};
-use crate::container::{
-    chunk_offsets, patch_tables, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN,
-};
+use crate::container::{patch_tables, payload_checksum, Header, RAW_FLAG, V2_HEADER_LEN};
 use crate::error::{Error, Result};
 use crate::float::{bound_toward_zero, PfplFloat, Word};
 use crate::quantize::{
@@ -30,6 +29,82 @@ use crate::quantize::{
 use crate::stats::CompressStats;
 use crate::types::{BoundKind, ErrorBound, Mode};
 use rayon::prelude::*;
+
+/// Everything an encoder settles before its first chunk: the validated
+/// bound, the quantizer it selects (NOA's derived from the data's range)
+/// and the header fields that record it. Every encoder — one-shot
+/// serial/parallel, [`crate::StreamCompressor`] and the device simulator —
+/// builds one, so none can disagree with another on a header byte.
+pub struct Plan<F: PfplFloat> {
+    /// The quantizer every chunk is encoded with: the same enum a decoder
+    /// rebuilds from the header.
+    pub quantizer: ChunkDecoder<F>,
+    header: Header,
+}
+
+impl<F: PfplFloat> Plan<F> {
+    /// Plan a one-shot compression of `data` under `bound`.
+    pub fn new(data: &[F], bound: ErrorBound) -> Result<Self> {
+        let plan = Self::build(bound, |eb| Ok(derive_noa_bound(data, eb)))?;
+        let nchunks = data.len().div_ceil(chunk::values_per_chunk::<F>());
+        if nchunks > (RAW_FLAG - 1) as usize {
+            return Err(Error::Corrupt(format!(
+                "input too large: {nchunks} chunks exceed the 31-bit chunk counter"
+            )));
+        }
+        Ok(plan)
+    }
+
+    /// Plan a streaming compression. NOA is rejected: its derived bound
+    /// needs the global value range before the first chunk is encoded.
+    pub(crate) fn streaming(bound: ErrorBound) -> Result<Self> {
+        Self::build(bound, |_| {
+            Err(Error::InvalidErrorBound(
+                "NOA requires the global value range and cannot be streamed; \
+                 use pfpl::compress, or derive an ABS bound yourself"
+                    .into(),
+            ))
+        })
+    }
+
+    fn build(bound: ErrorBound, noa: impl FnOnce(F) -> Result<NoaBound<F>>) -> Result<Self> {
+        let eb = bound.value();
+        if !(eb > 0.0) || !eb.is_finite() {
+            return Err(Error::InvalidErrorBound(format!(
+                "bound must be finite and > 0; got {eb}"
+            )));
+        }
+        let eb_f: F = bound_toward_zero(eb);
+        let (quantizer, derived) = match bound.kind() {
+            BoundKind::Abs => (ChunkDecoder::Abs(AbsQuantizer::new(eb_f)?), eb_f),
+            BoundKind::Rel => (ChunkDecoder::Rel(RelQuantizer::new(eb_f)?), eb_f),
+            BoundKind::Noa => match noa(eb_f)? {
+                NoaBound::Abs(abs_eb) => (ChunkDecoder::Abs(AbsQuantizer::new(abs_eb)?), abs_eb),
+                NoaBound::Passthrough => (ChunkDecoder::Pass(PassthroughQuantizer), F::ZERO),
+            },
+        };
+        let header = Header {
+            precision: F::PRECISION,
+            kind: bound.kind(),
+            passthrough: matches!(quantizer, ChunkDecoder::Pass(_)),
+            user_bound: eb,
+            derived_bound: derived.to_f64(),
+            count: 0,
+            chunk_count: 0,
+        };
+        Ok(Self { quantizer, header })
+    }
+
+    /// The archive header for `count` values.
+    pub fn header(&self, count: u64) -> Header {
+        let vpc = chunk::values_per_chunk::<F>() as u64;
+        Header {
+            count,
+            chunk_count: count.div_ceil(vpc) as u32,
+            ..self.header
+        }
+    }
+}
 
 /// Compress a slice of values under the given error bound.
 ///
@@ -47,60 +122,23 @@ pub fn compress_with_stats<F: PfplFloat>(
     bound: ErrorBound,
     mode: Mode,
 ) -> Result<(Vec<u8>, CompressStats)> {
-    let eb = bound.value();
-    if !(eb > 0.0) || !eb.is_finite() {
-        return Err(Error::InvalidErrorBound(format!(
-            "bound must be finite and > 0; got {eb}"
-        )));
-    }
-    let eb_f: F = bound_toward_zero(eb);
-    match bound {
-        ErrorBound::Abs(_) => {
-            let q = AbsQuantizer::new(eb_f)?;
-            run_compress(data, &q, bound, q.bound().to_f64(), false, mode)
-        }
-        ErrorBound::Rel(_) => {
-            let q = RelQuantizer::new(eb_f)?;
-            run_compress(data, &q, bound, q.bound().to_f64(), false, mode)
-        }
-        ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f) {
-            NoaBound::Abs(abs_eb) => {
-                let q = AbsQuantizer::new(abs_eb)?;
-                run_compress(data, &q, bound, abs_eb.to_f64(), false, mode)
-            }
-            NoaBound::Passthrough => {
-                run_compress(data, &PassthroughQuantizer, bound, 0.0, true, mode)
-            }
-        },
-    }
+    let plan = Plan::new(data, bound)?;
+    let header = plan.header(data.len() as u64);
+    Ok(match &plan.quantizer {
+        ChunkDecoder::Abs(q) => run_compress(data, q, &header, mode),
+        ChunkDecoder::Rel(q) => run_compress(data, q, &header, mode),
+        ChunkDecoder::Pass(q) => run_compress(data, q, &header, mode),
+    })
 }
 
 fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
     data: &[F],
     q: &Q,
-    bound: ErrorBound,
-    derived: f64,
-    passthrough: bool,
+    header: &Header,
     mode: Mode,
-) -> Result<(Vec<u8>, CompressStats)> {
+) -> (Vec<u8>, CompressStats) {
     let vpc = chunk::values_per_chunk::<F>();
-    let nchunks = data.len().div_ceil(vpc);
-    if nchunks > (RAW_FLAG - 1) as usize {
-        return Err(Error::Corrupt(format!(
-            "input too large: {nchunks} chunks exceed the 31-bit chunk counter"
-        )));
-    }
-
-    let header = Header {
-        precision: F::PRECISION,
-        kind: bound.kind(),
-        passthrough,
-        user_bound: bound.value(),
-        derived_bound: derived,
-        count: data.len() as u64,
-        chunk_count: nchunks as u32,
-    };
-
+    let nchunks = header.chunk_count as usize;
     let mut lossless = 0u64;
     let mut raw_chunks = 0u64;
     let archive = match mode {
@@ -184,13 +222,13 @@ fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
         input_bytes: (data.len() * (F::Bits::BITS as usize / 8)) as u64,
         output_bytes: archive.len() as u64,
     };
-    Ok((archive, stats))
+    (archive, stats)
 }
 
-/// The decode-side quantizer dispatch, reconstructed from an archive
-/// header. Shared by every decompression driver — strict serial/parallel,
-/// streaming, salvage, the device simulator, and the fuzz harness — so a
-/// chunk decodes to identical bits no matter which driver asked.
+/// The quantizer an archive's chunks are coded with. Encoders get it from
+/// their [`Plan`]; decoders rebuild it from the header once, in
+/// [`Archive::open`], so a chunk decodes to identical bits no matter which
+/// driver asked.
 pub enum ChunkDecoder<F: PfplFloat> {
     /// ABS/NOA archives decode through the absolute quantizer.
     Abs(AbsQuantizer<F>),
@@ -232,6 +270,16 @@ impl<F: PfplFloat> ChunkDecoder<F> {
             ChunkDecoder::Pass(q) => chunk::decompress_chunk(q, payload, raw, vals, scratch),
         }
     }
+
+    /// The quantizer as a trait object, for decode kernels outside this
+    /// crate (the device simulator's block decoder).
+    pub fn quantizer(&self) -> &dyn Quantizer<F> {
+        match self {
+            ChunkDecoder::Abs(q) => q,
+            ChunkDecoder::Rel(q) => q,
+            ChunkDecoder::Pass(q) => q,
+        }
+    }
 }
 
 /// Decompress an archive produced by [`compress`] (any implementation).
@@ -257,62 +305,17 @@ pub fn decompress_unverified<F: PfplFloat>(archive: &[u8], mode: Mode) -> Result
 }
 
 fn run_decompress<F: PfplFloat>(archive: &[u8], mode: Mode, verify: bool) -> Result<Vec<F>> {
-    let toc = Toc::read(archive)?;
-    let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
+    let mut ar = Archive::<F>::open(archive)?;
+    ar.check_layout()?;
+    if !verify {
+        ar = ar.without_checksums();
     }
-    let payload = &archive[payload_start..];
-    let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    // `Toc::read` validated count against chunk_count and the tables'
-    // physical presence, so this allocation is capped by what the
-    // archive's real length supports (≤ len * vpc expansion, the format's
-    // legitimate maximum).
-    let count = header.count as usize;
-
-    let dec = ChunkDecoder::<F>::from_header(&header)?;
-
-    let mut out = vec![F::ZERO; count];
-    let work = |(i, vals): (usize, &mut [F]), scratch: &mut Scratch<F>| -> Result<()> {
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        if verify {
-            if let Some(stored) = toc.chunk_checksum(i) {
-                let computed = payload_checksum(i, p);
-                if computed != stored {
-                    return Err(Error::ChecksumMismatch {
-                        chunk: i,
-                        offset: payload_start + offsets[i],
-                        stored,
-                        computed,
-                    });
-                }
-            }
-        }
-        let raw = sizes[i] & RAW_FLAG != 0;
-        dec.decode_chunk(p, raw, vals, scratch)
-            .map_err(|e| e.in_chunk(i, payload_start + offsets[i]))
-    };
-
-    match mode {
-        Mode::Serial => {
-            let mut scratch = Scratch::default();
-            for item in out.chunks_mut(vpc).enumerate() {
-                work(item, &mut scratch)?;
-            }
-        }
-        Mode::Parallel => {
-            out.par_chunks_mut(vpc)
-                .enumerate()
-                .map_init(Scratch::default, |scratch, (i, vals)| {
-                    work((i, vals), scratch)
-                })
-                .collect::<Result<Vec<()>>>()?;
-        }
-    }
+    let mut out = vec![F::ZERO; ar.count()];
+    ar.for_each_chunk(&mut out, mode, |i, vals, scratch| {
+        ar.decode(&ar.verified(i)?, vals, scratch)
+    })
+    .into_iter()
+    .collect::<Result<()>>()?;
     Ok(out)
 }
 

@@ -35,11 +35,12 @@
 //! independence that enables parallelism also bounds the blast radius of
 //! storage corruption to one chunk (see [`crate::salvage`]).
 //!
-//! [`Toc::read`] is the trust boundary for untrusted archives: every
+//! [`Toc::read`] is the parse boundary for untrusted archives: every
 //! length it returns is validated against the bytes physically present, so
-//! downstream loops may index with the returned offsets without further
-//! checks, and no allocation downstream is sized from an unvalidated header
-//! field (see `docs/FORMAT.md` § Validation rules).
+//! no allocation downstream is sized from an unvalidated header field.
+//! Decoders reach it through [`crate::Archive::open`], which adds the
+//! precision check, the quantizer and per-chunk extents (see
+//! `docs/FORMAT.md` § Validation rules).
 
 use crate::checksum::{checksum32, chunk_seed, HEADER_SEED};
 use crate::error::{Error, Result};
@@ -259,12 +260,6 @@ impl Toc {
 }
 
 impl Header {
-    /// Values per 16 KiB chunk at this header's precision (4096 for f32,
-    /// 2048 for f64).
-    pub fn values_per_chunk(&self) -> usize {
-        crate::chunk::CHUNK_BYTES / self.precision.word_bytes()
-    }
-
     /// Serialize the fixed v2 header: the 36 shared fields followed by the
     /// header checksum over them.
     fn write_fixed(&self, out: &mut Vec<u8>) {
@@ -325,14 +320,6 @@ impl Header {
         self.write_fixed(out);
         let tables = self.chunk_count as usize * 8;
         out.resize(out.len() + tables, 0);
-    }
-
-    /// Parse a header; returns the header, the size table, and the offset
-    /// at which chunk payloads begin. Convenience wrapper over
-    /// [`Toc::read`] for callers that don't need the checksum table.
-    pub fn read(buf: &[u8]) -> Result<(Header, Vec<u32>, usize)> {
-        let toc = Toc::read(buf)?;
-        Ok((toc.header, toc.sizes, toc.payload_start))
     }
 }
 
@@ -447,9 +434,6 @@ mod tests {
         assert_eq!(toc.checksums_offset(), Some(V2_HEADER_LEN + 12));
         assert_eq!(toc.chunk_checksum(1), Some(0xBBBB_0002));
         assert_eq!(toc.chunk_checksum(3), None);
-        // The thin wrapper agrees.
-        let (h2, sizes2, off) = Header::read(&buf).unwrap();
-        assert_eq!((h2, sizes2, off), (toc.header, toc.sizes, toc.payload_start));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   `s + e == a + b` exactly, with `s = fl(a + b)`.
 //! * [`two_prod`] — Dekker/Veltkamp splitting (no FMA, per §III-C):
 //!   `p + e == a * b` exactly in the absence of overflow/underflow.
+//! * [`noa_within`] — the once-per-archive NOA range check, decided on
+//!   integer significands so it has no unsafe regime at all.
 //!
 //! Comparisons of such double-double values against the bound are decided
 //! exactly whenever the magnitudes are in the wide "safe" range, and fall
@@ -180,6 +182,61 @@ pub fn rel_within_mag_f32(a: f32, b: f32, eb: f32) -> bool {
     dd_abs_le(ds, de, bound)
 }
 
+/// Exactly decide the NOA guarantee `|v - r| <= eb * (hi - lo)` for finite
+/// doubles (`lo <= hi`, `eb >= 0`), with no overflow or underflow regime:
+/// the decision is made on the integer significands.
+///
+/// The NOA bound is derived once per archive, so this trades speed for
+/// totality; [`crate::quantize::derive_noa_bound`] uses it with `r = 0` to
+/// keep its rounded result at or below the exact bound, and the test
+/// oracles use it to check decoded values against the user's bound.
+pub fn noa_within(v: f64, r: f64, eb: f64, hi: f64, lo: f64) -> bool {
+    let (big, small) = if v >= r { (v, r) } else { (r, v) };
+    dot_is_nonnegative(&[(eb, hi), (-eb, lo), (-big, 1.0), (small, 1.0)])
+}
+
+/// Exact `Σ aᵢ·bᵢ >= 0` over finite doubles. Each double is `m·2^e` with
+/// `m < 2^53` and `e >= -1074`, so every product is an integer below
+/// 2^106 shifted by at most 4090 bits: positive and negative products are
+/// summed into two fixed-width big integers and compared.
+fn dot_is_nonnegative(terms: &[(f64, f64)]) -> bool {
+    const LIMBS: usize = 68;
+    fn split(v: f64) -> (u64, i32, bool) {
+        debug_assert!(v.is_finite());
+        let bits = v.to_bits();
+        let exp = ((bits >> 52) & 0x7FF) as i32;
+        let frac = bits & ((1 << 52) - 1);
+        let neg = bits >> 63 == 1;
+        if exp == 0 {
+            (frac, -1074, neg)
+        } else {
+            (frac | 1 << 52, exp - 1075, neg)
+        }
+    }
+    fn add_at(acc: &mut [u64; LIMBS], mut i: usize, v: u64) {
+        let (s, mut carry) = acc[i].overflowing_add(v);
+        acc[i] = s;
+        while carry {
+            i += 1;
+            (acc[i], carry) = acc[i].overflowing_add(1);
+        }
+    }
+    let (mut pos, mut neg) = ([0u64; LIMBS], [0u64; LIMBS]);
+    for &(a, b) in terms {
+        let ((ma, ea, na), (mb, eb, nb)) = (split(a), split(b));
+        let m = ma as u128 * mb as u128;
+        let shift = (ea + eb + 2 * 1074) as usize;
+        let (limb, bit) = (shift / 64, shift % 64);
+        let acc = if na != nb { &mut neg } else { &mut pos };
+        for (k, part) in [m as u64, (m >> 64) as u64].into_iter().enumerate() {
+            let wide = (part as u128) << bit;
+            add_at(acc, limb + k, wide as u64);
+            add_at(acc, limb + k + 1, (wide >> 64) as u64);
+        }
+    }
+    pos.iter().rev().cmp(neg.iter().rev()) != std::cmp::Ordering::Less
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +278,28 @@ mod tests {
         let pi = to_int(p, 104);
         let ei = to_int(e, 104);
         ai * bi == pi + ei
+    }
+
+    #[test]
+    fn noa_within_decides_exactly_at_every_scale() {
+        // eb·(hi − lo) = 0.5 exactly: the boundary holds, one ulp over fails.
+        assert!(noa_within(0.5, 0.0, 0.25, 1.5, -0.5));
+        let over = f64::from_bits(0.5f64.to_bits() + 1);
+        assert!(!noa_within(over, 0.0, 0.25, 1.5, -0.5));
+        assert!(noa_within(3.0, 3.5, 0.25, 1.5, -0.5), "symmetric in v, r");
+        // The same decision survives scaling into the overflow and
+        // subnormal regimes, where TwoProd would no longer be exact.
+        for s in [2f64.powi(900), 2f64.powi(-900)] {
+            let t = 2f64.powi(-100);
+            assert!(noa_within(0.5 * s * t, 0.0, 0.25 * t, 1.5 * s, -0.5 * s));
+            let over = f64::from_bits((0.5 * s * t).to_bits() + 1);
+            assert!(!noa_within(over, 0.0, 0.25 * t, 1.5 * s, -0.5 * s));
+        }
+        // A difference far below the bound's ulp still tips the decision.
+        let tiny = f64::from_bits(1);
+        assert!(noa_within(1.0, 0.0, 1.0, 1.0, 0.0));
+        assert!(!noa_within(1.0, 0.0, 1.0, 1.0, tiny));
+        assert!(noa_within(1.0, tiny, 1.0, 1.0, tiny));
     }
 
     #[test]

@@ -58,6 +58,7 @@
 // comparison would silently accept.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
+pub mod archive;
 pub mod checksum;
 pub mod chunk;
 pub mod compress;
@@ -72,9 +73,10 @@ pub mod stats;
 pub mod stream;
 pub mod types;
 
+pub use archive::{Archive, ChunkRef};
 pub use compress::{
     compress, compress_f32, compress_f64, compress_with_stats, decompress, decompress_f32,
-    decompress_f64, decompress_unverified, ChunkDecoder,
+    decompress_f64, decompress_unverified, ChunkDecoder, Plan,
 };
 pub use error::{Error, Result};
 pub use float::PfplFloat;

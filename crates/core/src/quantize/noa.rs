@@ -6,7 +6,8 @@
 //! recorded in the archive header so decompression never needs the original
 //! data (keeping the decoder embarrassingly parallel, §III-E).
 
-use crate::float::PfplFloat;
+use crate::exact::noa_within;
+use crate::float::{PfplFloat, Word};
 use rayon::prelude::*;
 
 /// Outcome of deriving the NOA absolute bound from the data.
@@ -53,9 +54,17 @@ pub fn derive_noa_bound<F: PfplFloat>(data: &[F], eb: F) -> NoaBound<F> {
     if !(lo <= hi) {
         return NoaBound::Passthrough;
     }
-    // range = max - min; abs = eb * range, both in F's arithmetic.
+    // range = max - min; abs = eb * range, both in F's arithmetic. Each
+    // operation rounds to nearest, so `abs` can land above the exact
+    // eb·(max − min): step it down one ulp at a time while it does.
     let range = hi.add(F::from_bits(lo.to_bits() ^ F::SIGN_MASK));
-    let abs = eb.mul(range);
+    let mut abs = eb.mul(range);
+    while abs.is_finite()
+        && abs >= F::MIN_NORMAL
+        && !noa_within(abs.to_f64(), 0.0, eb.to_f64(), hi.to_f64(), lo.to_f64())
+    {
+        abs = F::from_bits(abs.to_bits().wrapping_sub(F::Bits::ONE));
+    }
     if abs.is_finite() && abs >= F::MIN_NORMAL {
         NoaBound::Abs(abs)
     } else {
@@ -111,6 +120,25 @@ mod tests {
             NoaBound::Passthrough,
             "range overflows f32"
         );
+    }
+
+    #[test]
+    fn derived_bound_never_exceeds_the_exact_bound() {
+        // Rounding `max − min` and `eb·range` to nearest each overshoots
+        // here: the naive product is 0.0048705213703, the exact bound
+        // 0.0048705213070.
+        let (lo, hi) = (-2.5691774f32, 2.301_344_f32);
+        let eb: f32 = crate::float::bound_toward_zero(1e-3);
+        let naive = eb * (hi - lo);
+        let exact = |b: f32| noa_within(b as f64, 0.0, eb as f64, hi as f64, lo as f64);
+        assert!(!exact(naive));
+        match derive_noa_bound(&[lo, 0.5, hi], eb) {
+            NoaBound::Abs(b) => {
+                assert!(exact(b));
+                assert_eq!(b.to_bits(), naive.to_bits() - 1, "one ulp below");
+            }
+            NoaBound::Passthrough => panic!("expected usable bound"),
+        }
     }
 
     #[test]

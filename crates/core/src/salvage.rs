@@ -20,20 +20,18 @@
 //!   [`ChunkStatus::PayloadError`] / [`ChunkStatus::Truncated`] on both
 //!   versions);
 //! * the only unsalvageable failures are a damaged *header* (nothing can
-//!   be trusted without it — [`Toc::read`] is still the gate) and a
+//!   be trusted without it — [`Archive::open`] is still the gate) and a
 //!   precision mismatch.
 //!
 //! v1 archives carry no checksums, so v1 salvage is best-effort: only
 //! structurally-invalid payloads are caught. v2's per-chunk checksums
 //! close that gap — any byte damage is detected before decoding.
 
+use crate::archive::{Archive, ChunkRef};
 use crate::chunk::{self, Scratch};
-use crate::compress::ChunkDecoder;
-use crate::container::{payload_checksum, Toc, RAW_FLAG};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::float::PfplFloat;
 use crate::types::Mode;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Outcome of salvaging one chunk.
@@ -162,75 +160,32 @@ impl SalvageReport {
     }
 }
 
-/// Prefix-sum the size table without the strict path's exactness demands,
-/// yielding one `(start, claimed)` payload-relative extent per chunk: a
-/// truncated payload region simply leaves later chunks with short (or
-/// empty) extents, which salvage reports as [`ChunkStatus::Truncated`].
-/// `start` is clamped to `payload_len`; `claimed` is the size-table entry
-/// with the raw flag stripped. Trailing unclaimed bytes are ignored — they
-/// damage nothing. Shared with the device simulator's salvage kernel so
-/// every backend partitions a damaged archive identically.
-pub fn salvage_extents(sizes: &[u32], payload_len: usize) -> Vec<(usize, usize)> {
-    let mut extents = Vec::with_capacity(sizes.len());
-    let mut acc = 0u64;
-    for &s in sizes {
-        let claimed = (s & !RAW_FLAG) as usize;
-        // Saturate the running offset at the payload length: everything
-        // past it is missing, reported per-chunk rather than globally.
-        let start = acc.min(payload_len as u64) as usize;
-        extents.push((start, claimed));
-        acc = acc.saturating_add(claimed as u64);
-    }
-    extents
-}
-
-/// Verify-then-decode one chunk. Writes decoded values into `vals` on
-/// success; fills `vals` with `fill` on any failure. Infallible — failures
-/// land in the returned report, not in a `Result`.
-#[allow(clippy::too_many_arguments)]
-fn salvage_chunk<F: PfplFloat>(
-    toc: &Toc,
-    dec: &ChunkDecoder<F>,
-    payload: &[u8],
-    (start, claimed): (usize, usize),
-    i: usize,
-    vals: &mut [F],
-    fill: F,
-    scratch: &mut Scratch<F>,
-) -> ChunkReport {
-    let offset = toc.payload_start + start;
-    let have = payload.len().saturating_sub(start).min(claimed);
-    let status = if have < claimed {
-        ChunkStatus::Truncated { claimed, have }
-    } else {
-        let p = &payload[start..start + claimed];
-        let stored = toc.chunk_checksum(i);
-        let computed = stored.map(|_| payload_checksum(i, p));
-        match (stored, computed) {
-            (Some(s), Some(c)) if s != c => ChunkStatus::ChecksumMismatch {
-                stored: s,
-                computed: c,
+impl<'a, F: PfplFloat> Archive<'a, F> {
+    /// Salvage one chunk: [`Archive::chunk`]'s verdict, then `decode` on a
+    /// chunk that passed it. Infallible — failures land in the returned
+    /// report. Shared with the device simulator's salvage kernel so every
+    /// backend reports a damaged archive identically.
+    pub fn salvage_chunk(
+        &self,
+        i: usize,
+        decode: impl FnOnce(ChunkRef<'a>) -> Result<()>,
+    ) -> ChunkReport {
+        let status = match self.chunk(i) {
+            Ok(c) => match decode(c) {
+                Ok(()) => ChunkStatus::Ok,
+                Err(e) => ChunkStatus::PayloadError {
+                    detail: e.to_string(),
+                },
             },
-            _ => {
-                let raw = toc.sizes[i] & RAW_FLAG != 0;
-                match dec.decode_chunk(p, raw, vals, scratch) {
-                    Ok(()) => ChunkStatus::Ok,
-                    Err(e) => ChunkStatus::PayloadError {
-                        detail: e.in_chunk(i, offset).to_string(),
-                    },
-                }
-            }
+            Err(status) => status,
+        };
+        ChunkReport {
+            chunk: i,
+            offset: self.offset(i),
+            len: self.claimed(i),
+            values: self.chunk_values(i).len(),
+            status,
         }
-    };
-    if !status.is_ok() {
-        vals.fill(fill);
-    }
-    ChunkReport {
-        chunk: i,
-        offset,
-        len: claimed,
-        values: vals.len(),
-        status,
     }
 }
 
@@ -242,49 +197,28 @@ fn salvage_chunk<F: PfplFloat>(
 /// header-claimed length.
 ///
 /// Errors only when nothing at all can be salvaged: the header fails to
-/// parse or verify ([`Toc::read`] — without a trusted header there is no
-/// precision, no count, and no table), or the archive's precision is not
-/// `F` ([`Error::PrecisionMismatch`]).
+/// parse or verify, or the archive's precision is not `F`
+/// ([`Archive::open`] — without a trusted header there is no precision, no
+/// count, and no table).
 pub fn decompress_salvage<F: PfplFloat>(
     archive: &[u8],
     mode: Mode,
     fill: F,
 ) -> Result<(Vec<F>, SalvageReport)> {
-    let toc = Toc::read(archive)?;
-    if toc.header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: toc.header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[toc.payload_start.min(archive.len())..];
-    let extents = salvage_extents(&toc.sizes, payload.len());
-    let dec = ChunkDecoder::<F>::from_header(&toc.header)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    let mut out = vec![fill; toc.header.count as usize];
-    let reports: Vec<ChunkReport> = match mode {
-        Mode::Serial => {
-            let mut scratch = Scratch::default();
-            out.chunks_mut(vpc)
-                .enumerate()
-                .map(|(i, vals)| {
-                    salvage_chunk(&toc, &dec, payload, extents[i], i, vals, fill, &mut scratch)
-                })
-                .collect()
+    let ar = Archive::<F>::open(archive)?;
+    let mut out = vec![fill; ar.count()];
+    let chunks = ar.for_each_chunk(&mut out, mode, |i, vals, scratch| {
+        let report = ar.salvage_chunk(i, |c| ar.decode(&c, vals, scratch));
+        if !report.status.is_ok() {
+            vals.fill(fill);
         }
-        Mode::Parallel => out
-            .par_chunks_mut(vpc)
-            .enumerate()
-            .map_init(Scratch::default, |scratch, (i, vals)| {
-                salvage_chunk(&toc, &dec, payload, extents[i], i, vals, fill, scratch)
-            })
-            .collect(),
-    };
+        report
+    });
     Ok((
         out,
         SalvageReport {
-            version: toc.version,
-            chunks: reports,
+            version: ar.toc().version,
+            chunks,
         },
     ))
 }
@@ -297,37 +231,17 @@ pub fn decompress_salvage<F: PfplFloat>(
 /// Errors under exactly the same conditions as [`decompress_salvage`]
 /// (unparseable header); otherwise the report lists per-chunk damage.
 pub fn verify_archive<F: PfplFloat>(archive: &[u8]) -> Result<SalvageReport> {
-    let toc = Toc::read(archive)?;
-    if toc.header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: toc.header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[toc.payload_start.min(archive.len())..];
-    let extents = salvage_extents(&toc.sizes, payload.len());
-    let dec = ChunkDecoder::<F>::from_header(&toc.header)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    let count = toc.header.count as usize;
+    let ar = Archive::<F>::open(archive)?;
     let mut scratch = Scratch::default();
-    let mut vals = vec![F::ZERO; vpc];
-    let chunks = (0..toc.sizes.len())
+    let mut vals = vec![F::ZERO; chunk::values_per_chunk::<F>()];
+    let chunks = (0..ar.chunks())
         .map(|i| {
-            let nvals = vpc.min(count - i * vpc);
-            salvage_chunk(
-                &toc,
-                &dec,
-                payload,
-                extents[i],
-                i,
-                &mut vals[..nvals],
-                F::ZERO,
-                &mut scratch,
-            )
+            let n = ar.chunk_values(i).len();
+            ar.salvage_chunk(i, |c| ar.decode(&c, &mut vals[..n], &mut scratch))
         })
         .collect();
     Ok(SalvageReport {
-        version: toc.version,
+        version: ar.toc().version,
         chunks,
     })
 }
@@ -335,6 +249,8 @@ pub fn verify_archive<F: PfplFloat>(archive: &[u8]) -> Result<SalvageReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{Toc, RAW_FLAG};
+    use crate::error::Error;
     use crate::types::ErrorBound;
 
     fn archive_5_chunks() -> (Vec<f32>, Vec<u8>) {

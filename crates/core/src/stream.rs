@@ -25,26 +25,19 @@
 //! matching the paper's observation that only the NOA quantizer needs a
 //! pre-pass (§III-E).
 
+use crate::archive::Archive;
 use crate::chunk::{self, Scratch};
-use crate::compress::ChunkDecoder;
-use crate::container::{payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN};
-use crate::error::{Error, Result};
-use crate::float::{bound_toward_zero, PfplFloat, Word};
-use crate::quantize::{AbsQuantizer, RelQuantizer};
+use crate::compress::{ChunkDecoder, Plan};
+use crate::container::{payload_checksum, RAW_FLAG, V2_HEADER_LEN};
+use crate::error::Result;
+use crate::float::{PfplFloat, Word};
 use crate::stats::CompressStats;
-use crate::types::{BoundKind, ErrorBound};
-
-enum StreamQuantizer<F: PfplFloat> {
-    Abs(AbsQuantizer<F>),
-    Rel(RelQuantizer<F>),
-}
+use crate::types::ErrorBound;
 
 /// Incremental PFPL encoder: feed values in pushes of any size, collect a
 /// standard archive at the end.
 pub struct StreamCompressor<F: PfplFloat> {
-    q: StreamQuantizer<F>,
-    bound: ErrorBound,
-    derived: f64,
+    plan: Plan<F>,
     pending: Vec<F>,
     sizes: Vec<u32>,
     checksums: Vec<u32>,
@@ -58,39 +51,11 @@ pub struct StreamCompressor<F: PfplFloat> {
 impl<F: PfplFloat> StreamCompressor<F> {
     /// Create a streaming encoder for an ABS or REL bound.
     ///
-    /// Returns [`Error::InvalidErrorBound`] for NOA (needs the global
-    /// range) or for an unusable bound value.
+    /// Returns [`crate::Error::InvalidErrorBound`] for NOA (needs the
+    /// global range) or for an unusable bound value.
     pub fn new(bound: ErrorBound) -> Result<Self> {
-        let eb = bound.value();
-        if !(eb > 0.0) || !eb.is_finite() {
-            return Err(Error::InvalidErrorBound(format!(
-                "bound must be finite and > 0; got {eb}"
-            )));
-        }
-        let eb_f: F = bound_toward_zero(eb);
-        let (q, derived) = match bound.kind() {
-            BoundKind::Abs => {
-                let q = AbsQuantizer::new(eb_f)?;
-                let d = q.bound().to_f64();
-                (StreamQuantizer::Abs(q), d)
-            }
-            BoundKind::Rel => {
-                let q = RelQuantizer::new(eb_f)?;
-                let d = q.bound().to_f64();
-                (StreamQuantizer::Rel(q), d)
-            }
-            BoundKind::Noa => {
-                return Err(Error::InvalidErrorBound(
-                    "NOA requires the global value range and cannot be streamed; \
-                     use pfpl::compress, or derive an ABS bound yourself"
-                        .into(),
-                ))
-            }
-        };
         Ok(Self {
-            q,
-            bound,
-            derived,
+            plan: Plan::streaming(bound)?,
             pending: Vec::with_capacity(chunk::values_per_chunk::<F>()),
             sizes: Vec::new(),
             checksums: Vec::new(),
@@ -105,13 +70,11 @@ impl<F: PfplFloat> StreamCompressor<F> {
     /// Compress one chunk's worth of values straight onto `payloads`.
     fn compress_vals(&mut self, vals: &[F]) {
         let start = self.payloads.len();
-        let info = match &self.q {
-            StreamQuantizer::Abs(q) => {
-                chunk::compress_chunk(q, vals, &mut self.scratch, &mut self.payloads)
-            }
-            StreamQuantizer::Rel(q) => {
-                chunk::compress_chunk(q, vals, &mut self.scratch, &mut self.payloads)
-            }
+        let (scratch, out) = (&mut self.scratch, &mut self.payloads);
+        let info = match &self.plan.quantizer {
+            ChunkDecoder::Abs(q) => chunk::compress_chunk(q, vals, scratch, out),
+            ChunkDecoder::Rel(q) => chunk::compress_chunk(q, vals, scratch, out),
+            ChunkDecoder::Pass(q) => chunk::compress_chunk(q, vals, scratch, out),
         };
         let len = (self.payloads.len() - start) as u32;
         // Digest the payload while it is still cache-hot; the chunk index
@@ -174,15 +137,7 @@ impl<F: PfplFloat> StreamCompressor<F> {
         if !self.pending.is_empty() {
             self.flush_chunk();
         }
-        let header = Header {
-            precision: F::PRECISION,
-            kind: self.bound.kind(),
-            passthrough: false,
-            user_bound: self.bound.value(),
-            derived_bound: self.derived,
-            count: self.total,
-            chunk_count: self.sizes.len() as u32,
-        };
+        let header = self.plan.header(self.total);
         let mut archive =
             Vec::with_capacity(V2_HEADER_LEN + 8 * self.sizes.len() + self.payloads.len());
         header.write(&self.sizes, &self.checksums, &mut archive);
@@ -207,58 +162,27 @@ impl<F: PfplFloat> StreamCompressor<F> {
 /// bytes themselves, so one damaged chunk yields one `Err` item and the
 /// next iteration continues at the next chunk's payload. On v2 archives
 /// each chunk's checksum is verified before decoding, so damage surfaces
-/// as [`Error::ChecksumMismatch`] naming exactly the corrupted chunk; on
+/// as [`crate::Error::ChecksumMismatch`] naming exactly the corrupted chunk; on
 /// v1 archives only structural decode errors can flag a chunk. Chunks that
 /// decode cleanly are bit-identical to the strict whole-archive decode.
 pub fn decompress_chunks<F: PfplFloat>(
     archive: &[u8],
 ) -> Result<impl Iterator<Item = Result<Vec<F>>> + '_> {
-    let toc = Toc::read(archive)?;
-    let (header, payload_start) = (toc.header, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[payload_start..];
-    let offsets = crate::container::chunk_offsets(&toc.sizes, payload.len(), payload_start)?;
-    let vpc = chunk::values_per_chunk::<F>();
-    // `Toc::read` validated count against chunk_count, so
-    // `count - i * vpc` below cannot underflow for any chunk index.
-    let count = header.count as usize;
-    let dec = ChunkDecoder::<F>::from_header(&header)?;
+    let ar = Archive::<F>::open(archive)?;
+    ar.check_layout()?;
     let mut scratch = Scratch::default();
-    let mut i = 0usize;
-    Ok(std::iter::from_fn(move || {
-        if i >= toc.sizes.len() {
-            return None;
-        }
-        let nvals = vpc.min(count - i * vpc);
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        let raw = toc.sizes[i] & RAW_FLAG != 0;
-        let res = match toc.chunk_checksum(i) {
-            Some(stored) if payload_checksum(i, p) != stored => Err(Error::ChecksumMismatch {
-                chunk: i,
-                offset: payload_start + offsets[i],
-                stored,
-                computed: payload_checksum(i, p),
-            }),
-            _ => {
-                let mut vals = vec![F::ZERO; nvals];
-                dec.decode_chunk(p, raw, &mut vals, &mut scratch)
-                    .map(|()| vals)
-                    .map_err(|e| e.in_chunk(i, payload_start + offsets[i]))
-            }
-        };
-        i += 1;
-        Some(res)
+    Ok((0..ar.chunks()).map(move |i| {
+        let c = ar.verified(i)?;
+        let mut vals = vec![F::ZERO; ar.chunk_values(i).len()];
+        ar.decode(&c, &mut vals, &mut scratch).map(|()| vals)
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::Toc;
+    use crate::error::Error;
     use crate::types::Mode;
 
     fn signal(n: usize) -> Vec<f32> {

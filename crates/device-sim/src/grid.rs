@@ -91,9 +91,9 @@ mod tests {
 
     #[test]
     fn single_worker_is_sequential() {
-        let order = parking_lot::Mutex::new(Vec::new());
-        launch(10, 1, |b| order.lock().push(b));
-        assert_eq!(*order.lock(), (0..10).collect::<Vec<_>>());
+        let order = std::sync::Mutex::new(Vec::new());
+        launch(10, 1, |b| order.lock().unwrap().push(b));
+        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]

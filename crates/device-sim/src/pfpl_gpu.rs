@@ -37,15 +37,14 @@ use crate::grid;
 use crate::lookback::Lookback;
 use crate::shared::{DeviceBuffer, DeviceSlice};
 use crate::warp::{self, WARP_SIZE};
-use pfpl::container::{chunk_offsets, payload_checksum, Header, Toc, RAW_FLAG, V2_HEADER_LEN};
+use pfpl::container::{payload_checksum, Header, RAW_FLAG, V2_HEADER_LEN};
 use pfpl::error::{Error, Result};
-use pfpl::float::{bound_toward_zero, negabinary, PfplFloat, Word};
+use pfpl::float::{negabinary, PfplFloat, Word};
 use pfpl::lossless::shuffle;
-use pfpl::quantize::{
-    derive_noa_bound, AbsQuantizer, NoaBound, PassthroughQuantizer, Quantizer, RelQuantizer,
-};
-use pfpl::salvage::{salvage_extents, ChunkReport, ChunkStatus, SalvageReport};
-use pfpl::types::{BoundKind, ErrorBound};
+use pfpl::quantize::Quantizer;
+use pfpl::salvage::{ChunkReport, SalvageReport};
+use pfpl::types::ErrorBound;
+use pfpl::{Archive, ChunkDecoder, Plan};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -71,53 +70,27 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let eb = bound.value();
-        if !(eb > 0.0) || !eb.is_finite() {
-            return Err(Error::InvalidErrorBound(format!(
-                "bound must be finite and > 0; got {eb}"
-            )));
-        }
-        let eb_f: F = bound_toward_zero(eb);
-        match bound {
-            ErrorBound::Abs(_) => {
-                let q = AbsQuantizer::new(eb_f)?;
-                self.run_compress(data, &q, bound, q.bound().to_f64(), false)
-            }
-            ErrorBound::Rel(_) => {
-                let q = RelQuantizer::new(eb_f)?;
-                self.run_compress(data, &q, bound, q.bound().to_f64(), false)
-            }
-            ErrorBound::Noa(_) => match derive_noa_bound(data, eb_f) {
-                NoaBound::Abs(abs_eb) => {
-                    let q = AbsQuantizer::new(abs_eb)?;
-                    self.run_compress(data, &q, bound, abs_eb.to_f64(), false)
-                }
-                NoaBound::Passthrough => {
-                    self.run_compress(data, &PassthroughQuantizer, bound, 0.0, true)
-                }
-            },
-        }
+        let plan = Plan::new(data, bound)?;
+        let header = plan.header(data.len() as u64);
+        Ok(match &plan.quantizer {
+            ChunkDecoder::Abs(q) => self.run_compress(data, q, &header),
+            ChunkDecoder::Rel(q) => self.run_compress(data, q, &header),
+            ChunkDecoder::Pass(q) => self.run_compress(data, q, &header),
+        })
     }
 
     fn run_compress<F: PfplFloat, Q: Quantizer<F>>(
         &self,
         data: &[F],
         q: &Q,
-        bound: ErrorBound,
-        derived: f64,
-        passthrough: bool,
-    ) -> Result<Vec<u8>>
+        header: &Header,
+    ) -> Vec<u8>
     where
         F::Bits: WarpTranspose,
     {
         let vpc = pfpl::chunk::values_per_chunk::<F>();
         let word_bytes = F::Bits::BITS as usize / 8;
-        let nchunks = data.len().div_ceil(vpc);
-        if nchunks > (RAW_FLAG - 1) as usize {
-            return Err(Error::Corrupt(format!(
-                "input too large: {nchunks} chunks exceed the 31-bit chunk counter"
-            )));
-        }
+        let nchunks = header.chunk_count as usize;
         // Raw fallback caps each chunk at its uncompressed size, so the
         // worst-case payload is the input size.
         let arena = DeviceBuffer::new(data.len() * word_bytes);
@@ -153,19 +126,10 @@ impl GpuDevice {
         let sizes: Vec<u32> = sizes.into_iter().map(|s| s.into_inner()).collect();
         let checksums: Vec<u32> = checksums.into_iter().map(|c| c.into_inner()).collect();
         let payload_len: usize = sizes.iter().map(|&s| (s & !RAW_FLAG) as usize).sum();
-        let header = Header {
-            precision: F::PRECISION,
-            kind: bound.kind(),
-            passthrough,
-            user_bound: bound.value(),
-            derived_bound: derived,
-            count: data.len() as u64,
-            chunk_count: nchunks as u32,
-        };
         let mut archive = Vec::with_capacity(V2_HEADER_LEN + 8 * nchunks + payload_len);
         header.write(&sizes, &checksums, &mut archive);
         archive.extend_from_slice(&arena.into_vec(payload_len));
-        Ok(archive)
+        archive
     }
 
     /// Decompress an archive; bit-identical to [`pfpl::decompress`].
@@ -177,80 +141,40 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let toc = Toc::read(archive)?;
-        let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-        if header.precision != F::PRECISION {
-            return Err(Error::PrecisionMismatch {
-                archive: header.precision,
-                requested: F::PRECISION,
-            });
-        }
-        let payload = &archive[payload_start..];
+        let ar = Archive::<F>::open(archive)?;
         // The paper's decoder computes a prefix sum over the stored sizes.
-        let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
-        let vpc = pfpl::chunk::values_per_chunk::<F>();
-        // `Toc::read` validated count against chunk_count and the tables'
-        // presence, so this allocation is archive-length-bounded
-        // and `count - lo` below cannot underflow.
-        let count = header.count as usize;
-        let derived = F::from_f64(header.derived_bound);
-        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(count, F::Bits::ZERO);
+        ar.check_layout()?;
+        let q = ar.decoder().quantizer();
+        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(ar.count(), F::Bits::ZERO);
         // Lowest failing chunk index + its structured error (blocks run in
         // any order; keeping the lowest index makes the report
         // deterministic across schedules).
         let failed: Mutex<Option<(usize, Error)>> = Mutex::new(None);
-        let record = |b: usize, e: Error| {
-            let mut slot = failed.lock().unwrap();
-            if slot.as_ref().is_none_or(|(prev, _)| b < *prev) {
-                *slot = Some((b, e));
-            }
-        };
-
-        let run = |q: &(dyn Quantizer<F> + Sync)| {
-            grid::launch_init(
-                header.chunk_count as usize,
-                self.config.resident_blocks(),
-                DecodeScratch::<F>::default,
-                |scratch, b| {
-                    let lo = b * vpc;
-                    let nvals = vpc.min(count - lo);
-                    let p = &payload[offsets[b]..offsets[b + 1]];
-                    if let Some(stored) = toc.chunk_checksum(b) {
-                        let computed = payload_checksum(b, p);
-                        if computed != stored {
-                            record(
-                                b,
-                                Error::ChecksumMismatch {
-                                    chunk: b,
-                                    offset: payload_start + offsets[b],
-                                    stored,
-                                    computed,
-                                },
-                            );
-                            return;
+        grid::launch_init(
+            ar.chunks(),
+            self.config.resident_blocks(),
+            DecodeScratch::<F>::default,
+            |scratch, b| {
+                let range = ar.chunk_values(b);
+                let decoded = ar.verified(b).and_then(|c| {
+                    c.decode_with(|p, raw| decode_chunk_block(q, p, raw, range.len(), scratch))
+                });
+                match decoded {
+                    // SAFETY: chunk b owns out[range] exclusively.
+                    Ok(()) => unsafe { out.write_at(range.start, &scratch.words) },
+                    Err(e) => {
+                        let mut slot = failed.lock().expect("no block panics holding the lock");
+                        if slot.as_ref().is_none_or(|(prev, _)| b < *prev) {
+                            *slot = Some((b, e));
                         }
                     }
-                    let raw = sizes[b] & RAW_FLAG != 0;
-                    match decode_chunk_block(q, p, raw, nvals, scratch) {
-                        Ok(()) => {
-                            // SAFETY: chunk b owns out[lo..lo+nvals]
-                            // exclusively.
-                            unsafe { out.write_at(lo, &scratch.words) };
-                        }
-                        Err(e) => record(b, e.in_chunk(b, payload_start + offsets[b])),
-                    }
-                },
-            );
-        };
-        if header.passthrough {
-            run(&PassthroughQuantizer);
-        } else {
-            match header.kind {
-                BoundKind::Abs | BoundKind::Noa => run(&AbsQuantizer::<F>::new(derived)?),
-                BoundKind::Rel => run(&RelQuantizer::<F>::new(derived)?),
-            }
-        }
-        if let Some((_, e)) = failed.into_inner().unwrap() {
+                }
+            },
+        );
+        if let Some((_, e)) = failed
+            .into_inner()
+            .expect("no block panics holding the lock")
+        {
             return Err(e);
         }
         Ok(out.into_vec().into_iter().map(F::from_bits).collect())
@@ -270,93 +194,37 @@ impl GpuDevice {
     where
         F::Bits: WarpTranspose,
     {
-        let toc = Toc::read(archive)?;
-        let header = toc.header;
-        if header.precision != F::PRECISION {
-            return Err(Error::PrecisionMismatch {
-                archive: header.precision,
-                requested: F::PRECISION,
-            });
-        }
-        let payload = &archive[toc.payload_start.min(archive.len())..];
-        // Lenient extents (shared with the CPU salvage path): a truncated
-        // payload shortens per-chunk extents instead of failing globally.
-        let extents = salvage_extents(&toc.sizes, payload.len());
-        let vpc = pfpl::chunk::values_per_chunk::<F>();
-        let count = header.count as usize;
-        let derived = F::from_f64(header.derived_bound);
-        let nchunks = header.chunk_count as usize;
+        let ar = Archive::<F>::open(archive)?;
+        let q = ar.decoder().quantizer();
         // Prefill the device output with the fill pattern; only blocks
         // whose chunk verifies and decodes overwrite their slice.
-        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(count, fill.to_bits());
-        let reports: Mutex<Vec<Option<ChunkReport>>> = Mutex::new(vec![None; nchunks]);
-
-        let run = |q: &(dyn Quantizer<F> + Sync)| {
-            grid::launch_init(
-                nchunks,
-                self.config.resident_blocks(),
-                DecodeScratch::<F>::default,
-                |scratch, b| {
-                    let lo = b * vpc;
-                    let nvals = vpc.min(count - lo);
-                    let (start, claimed) = extents[b];
-                    let offset = toc.payload_start + start;
-                    let have = payload.len().saturating_sub(start).min(claimed);
-                    let status = if have < claimed {
-                        ChunkStatus::Truncated { claimed, have }
-                    } else {
-                        let p = &payload[start..start + claimed];
-                        let stored = toc.chunk_checksum(b);
-                        let computed = stored.map(|_| payload_checksum(b, p));
-                        match (stored, computed) {
-                            (Some(s), Some(c)) if s != c => ChunkStatus::ChecksumMismatch {
-                                stored: s,
-                                computed: c,
-                            },
-                            _ => {
-                                let raw = toc.sizes[b] & RAW_FLAG != 0;
-                                match decode_chunk_block(q, p, raw, nvals, scratch) {
-                                    Ok(()) => {
-                                        // SAFETY: chunk b owns
-                                        // out[lo..lo+nvals] exclusively.
-                                        unsafe { out.write_at(lo, &scratch.words) };
-                                        ChunkStatus::Ok
-                                    }
-                                    Err(e) => ChunkStatus::PayloadError {
-                                        detail: e.in_chunk(b, offset).to_string(),
-                                    },
-                                }
-                            }
-                        }
-                    };
-                    reports.lock().unwrap()[b] = Some(ChunkReport {
-                        chunk: b,
-                        offset,
-                        len: claimed,
-                        values: nvals,
-                        status,
-                    });
-                },
-            );
-        };
-        if header.passthrough {
-            run(&PassthroughQuantizer);
-        } else {
-            match header.kind {
-                BoundKind::Abs | BoundKind::Noa => run(&AbsQuantizer::<F>::new(derived)?),
-                BoundKind::Rel => run(&RelQuantizer::<F>::new(derived)?),
-            }
-        }
+        let out: DeviceSlice<F::Bits> = DeviceSlice::new_with(ar.count(), fill.to_bits());
+        let reports: Mutex<Vec<Option<ChunkReport>>> = Mutex::new(vec![None; ar.chunks()]);
+        grid::launch_init(
+            ar.chunks(),
+            self.config.resident_blocks(),
+            DecodeScratch::<F>::default,
+            |scratch, b| {
+                let range = ar.chunk_values(b);
+                let report = ar.salvage_chunk(b, |c| {
+                    c.decode_with(|p, raw| decode_chunk_block(q, p, raw, range.len(), scratch))?;
+                    // SAFETY: chunk b owns out[range] exclusively.
+                    unsafe { out.write_at(range.start, &scratch.words) };
+                    Ok(())
+                });
+                reports.lock().expect("no block panics holding the lock")[b] = Some(report);
+            },
+        );
         let chunks: Vec<ChunkReport> = reports
             .into_inner()
-            .unwrap()
+            .expect("no block panics holding the lock")
             .into_iter()
             .map(|r| r.expect("every launched block files a report"))
             .collect();
         Ok((
             out.into_vec().into_iter().map(F::from_bits).collect(),
             SalvageReport {
-                version: toc.version,
+                version: ar.toc().version,
                 chunks,
             },
         ))
@@ -674,7 +542,7 @@ impl<F: PfplFloat> Default for DecodeScratch<F> {
 /// block-scan delta decode, quantizer decode. Leaves the chunk's words
 /// (already quantizer-decoded to value bit patterns) in `s.words`.
 fn decode_chunk_block<F: PfplFloat>(
-    q: &(dyn Quantizer<F> + Sync),
+    q: &dyn Quantizer<F>,
     payload: &[u8],
     raw: bool,
     nvals: usize,

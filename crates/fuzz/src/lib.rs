@@ -18,12 +18,13 @@ pub mod mutate;
 pub mod rng;
 
 use gen::{gen_case, Case};
-use pfpl::container::{chunk_offsets, payload_checksum, Header, Toc, RAW_FLAG};
+use pfpl::chunk::decompress_chunk_staged;
+use pfpl::container::Toc;
+use pfpl::exact::noa_within;
 use pfpl::float::PfplFloat;
-use pfpl::quantize::{AbsQuantizer, PassthroughQuantizer, RelQuantizer};
 use pfpl::salvage::{ChunkStatus, SalvageReport};
-use pfpl::types::{BoundKind, ErrorBound, Mode};
-use pfpl::Error;
+use pfpl::types::{ErrorBound, Mode};
+use pfpl::{Archive, ChunkDecoder, Error};
 use pfpl_device_sim::pfpl_gpu::{GpuDevice, WarpTranspose};
 use rng::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,67 +115,28 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Chunk-level decode driver mirroring `pfpl::decompress`'s dispatch but
-/// routing through [`pfpl::chunk::decompress_chunk_staged`] when `staged`
-/// — so the fuzzer exercises the staged reference kernel and the fused
-/// kernel as two separately-callable paths.
+/// Chunk-level decode driver over [`Archive`] that routes through
+/// [`pfpl::chunk::decompress_chunk_staged`] when `staged` — so the fuzzer
+/// exercises the staged reference kernel and the fused kernel as two
+/// separately-callable paths, under the same verify-before-decode contract
+/// as the strict drivers.
 fn chunk_level_decode<F: PfplFloat>(archive: &[u8], staged: bool) -> pfpl::Result<Vec<F>> {
-    let toc = Toc::read(archive)?;
-    let (header, sizes, payload_start) = (toc.header, &toc.sizes, toc.payload_start);
-    if header.precision != F::PRECISION {
-        return Err(Error::PrecisionMismatch {
-            archive: header.precision,
-            requested: F::PRECISION,
-        });
-    }
-    let payload = &archive[payload_start..];
-    let offsets = chunk_offsets(sizes, payload.len(), payload_start)?;
-    let vpc = pfpl::chunk::values_per_chunk::<F>();
-    let derived = F::from_f64(header.derived_bound);
-    enum Q<F: PfplFloat> {
-        Abs(AbsQuantizer<F>),
-        Rel(RelQuantizer<F>),
-        Pass(PassthroughQuantizer),
-    }
-    let q: Q<F> = if header.passthrough {
-        Q::Pass(PassthroughQuantizer)
-    } else {
-        match header.kind {
-            BoundKind::Abs | BoundKind::Noa => Q::Abs(AbsQuantizer::new(derived)?),
-            BoundKind::Rel => Q::Rel(RelQuantizer::new(derived)?),
+    let ar = Archive::<F>::open(archive)?;
+    ar.check_layout()?;
+    let mut out = vec![F::ZERO; ar.count()];
+    ar.for_each_chunk(&mut out, Mode::Serial, |i, vals, s| {
+        let c = ar.verified(i)?;
+        if !staged {
+            return ar.decode(&c, vals, s);
         }
-    };
-    let mut out = vec![F::ZERO; header.count as usize];
-    let mut scratch = pfpl::chunk::Scratch::default();
-    for (i, vals) in out.chunks_mut(vpc).enumerate() {
-        let p = &payload[offsets[i]..offsets[i + 1]];
-        // Same verify-before-decode contract as the strict drivers — the
-        // chunk-level paths must reject exactly what `pfpl::decompress`
-        // rejects or the cross-path consistency check would misfire.
-        if let Some(stored) = toc.chunk_checksum(i) {
-            let computed = payload_checksum(i, p);
-            if stored != computed {
-                return Err(Error::ChecksumMismatch {
-                    chunk: i,
-                    offset: payload_start + offsets[i],
-                    stored,
-                    computed,
-                });
-            }
-        }
-        let raw = sizes[i] & RAW_FLAG != 0;
-        let res = match (&q, staged) {
-            (Q::Abs(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Abs(q), true) => pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch),
-            (Q::Rel(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Rel(q), true) => pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch),
-            (Q::Pass(q), false) => pfpl::chunk::decompress_chunk(q, p, raw, vals, &mut scratch),
-            (Q::Pass(q), true) => {
-                pfpl::chunk::decompress_chunk_staged(q, p, raw, vals, &mut scratch)
-            }
-        };
-        res.map_err(|e| e.in_chunk(i, payload_start + offsets[i]))?;
-    }
+        c.decode_with(|p, raw| match ar.decoder() {
+            ChunkDecoder::Abs(q) => decompress_chunk_staged(q, p, raw, vals, s),
+            ChunkDecoder::Rel(q) => decompress_chunk_staged(q, p, raw, vals, s),
+            ChunkDecoder::Pass(q) => decompress_chunk_staged(q, p, raw, vals, s),
+        })
+    })
+    .into_iter()
+    .collect::<pfpl::Result<()>>()?;
     Ok(out)
 }
 
@@ -254,7 +216,7 @@ where
                         // The output length must be what the (parseable)
                         // header claims — an Ok with any other length means
                         // a desynced loop slipped through validation.
-                        if let Ok((h, _, _)) = Header::read(archive) {
+                        if let Ok(Toc { header: h, .. }) = Toc::read(archive) {
                             if h.precision == F::PRECISION && vals.len() as u64 != h.count {
                                 report.mismatches += 1;
                                 report.fail(format!(
@@ -299,7 +261,7 @@ where
 /// reconstructed value is bit-exact (lossless fallback, specials,
 /// passthrough) or within the bound the archive was compressed under.
 fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzReport) {
-    let Ok((header, _, _)) = Header::read(&case.archive) else {
+    let Ok(toc) = Toc::read(&case.archive) else {
         report.mismatches += 1;
         report.fail("clean archive failed to re-parse".into());
         return;
@@ -314,6 +276,20 @@ fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzRe
         return;
     }
     let eb = case.bound.value();
+    // NOA is checked against the user bound times the original data's
+    // range, decided exactly — not against the header's derived bound,
+    // which is the very value the quantizer enforced. The derived bound
+    // itself must lie within that exact bound too.
+    let range = value_range(&case.data);
+    let noa_holds = |v: f64, r: f64| range.is_some_and(|(lo, hi)| noa_within(v, r, eb, hi, lo));
+    let derived = toc.header.derived_bound;
+    if matches!(case.bound, ErrorBound::Noa(_)) && derived != 0.0 && !noa_holds(derived, 0.0) {
+        report.bound_violations += 1;
+        report.fail(format!(
+            "derived NOA bound {derived:e} exceeds {eb:e} × range (pattern {:?})",
+            case.pattern
+        ));
+    }
     for (i, (a, b)) in case.data.iter().zip(decoded).enumerate() {
         if a.to_bits() == b.to_bits() {
             continue;
@@ -324,10 +300,7 @@ fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzRe
             // rounded toward zero, so checking against `eb` is exact.
             ErrorBound::Abs(_) => (av - bv).abs() <= eb,
             ErrorBound::Rel(_) => (av - bv).abs() <= eb * av.abs(),
-            // NOA: the header's derived bound is the ABS bound the
-            // quantizer actually enforced (eb * range, rounded toward
-            // zero) — exact, with no range-recomputation rounding.
-            ErrorBound::Noa(_) => (av - bv).abs() <= header.derived_bound,
+            ErrorBound::Noa(_) => av.is_finite() && bv.is_finite() && noa_holds(av, bv),
         };
         if !within {
             report.bound_violations += 1;
@@ -340,6 +313,19 @@ fn verify_bound<F: PfplFloat>(case: &Case<F>, decoded: &[F], report: &mut FuzzRe
     }
 }
 
+/// `(min, max)` of the non-NaN values, or `None` when that range is empty
+/// or infinite (NOA then stores every value losslessly).
+fn value_range<F: PfplFloat>(data: &[F]) -> Option<(f64, f64)> {
+    let (lo, hi) = data
+        .iter()
+        .map(|v| v.to_f64())
+        .filter(|v| !v.is_nan())
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), v| {
+            (l.min(v), h.max(v))
+        });
+    (lo.is_finite() && hi.is_finite()).then_some((lo, hi))
+}
+
 /// Mid-stream fault injection for [`pfpl::decompress_chunks`]: corrupt a
 /// byte inside a later chunk's payload, then stream — chunks before the
 /// corruption must still decode to the clean values; the corrupted chunk
@@ -348,23 +334,19 @@ fn fault_injection<F>(rng: &mut Rng, case: &Case<F>, clean: &[F], report: &mut F
 where
     F: PfplFloat,
 {
-    let Ok((header, sizes, payload_start)) = Header::read(&case.archive) else {
+    let Ok(ar) = Archive::<F>::open(&case.archive) else {
         return;
     };
-    if header.chunk_count < 2 {
+    if ar.chunks() < 2 || ar.check_layout().is_err() {
         return;
     }
-    let payload_len = case.archive.len() - payload_start;
-    let Ok(offsets) = chunk_offsets(&sizes, payload_len, payload_start) else {
-        return;
-    };
     // Pick a non-empty chunk other than the first.
-    let k = rng.range(1, header.chunk_count as usize);
-    if offsets[k] == offsets[k + 1] {
+    let k = rng.range(1, ar.chunks());
+    if ar.claimed(k) == 0 {
         return;
     }
     let mut m = case.archive.clone();
-    let off = payload_start + rng.range(offsets[k], offsets[k + 1]);
+    let off = rng.range(ar.offset(k), ar.offset(k) + ar.claimed(k));
     m[off] ^= rng.nonzero_byte();
 
     let vpc = pfpl::chunk::values_per_chunk::<F>();
@@ -520,17 +502,16 @@ where
     };
     report.cases += 1;
     let archive = &case.archive;
-    let Ok(toc) = Toc::read(archive) else {
+    let Ok(ar) = Archive::<F>::open(archive) else {
         report.mismatches += 1;
         report.fail("clean archive failed to re-parse".into());
         return;
     };
-    let payload_len = archive.len() - toc.payload_start;
-    let Ok(offsets) = chunk_offsets(&toc.sizes, payload_len, toc.payload_start) else {
+    if ar.check_layout().is_err() {
         report.mismatches += 1;
         report.fail("clean archive has inconsistent size table".into());
         return;
-    };
+    }
     report.decode_calls += 1;
     let clean = match catching(|| pfpl::decompress::<F>(archive, Mode::Serial)) {
         Outcome::Ok(v) => {
@@ -578,9 +559,7 @@ where
     // Pick K distinct chunks with non-empty payloads and flip one byte in
     // each, re-rolling on the (astronomically unlikely) digest collision so
     // every corruption is detectable by construction.
-    let mut pool: Vec<usize> = (0..toc.sizes.len())
-        .filter(|&i| offsets[i + 1] > offsets[i])
-        .collect();
+    let mut pool: Vec<usize> = (0..ar.chunks()).filter(|&i| ar.claimed(i) > 0).collect();
     if pool.is_empty() {
         return;
     }
@@ -592,12 +571,14 @@ where
     touched.sort_unstable();
     let mut m = archive.clone();
     for &c in &touched {
-        let (lo, hi) = (toc.payload_start + offsets[c], toc.payload_start + offsets[c + 1]);
+        let (lo, hi) = (ar.offset(c), ar.offset(c) + ar.claimed(c));
         loop {
             let off = rng.range(lo, hi);
             let mask = rng.nonzero_byte();
             m[off] ^= mask;
-            if payload_checksum(c, &m[lo..hi]) != toc.checksums[c] {
+            let damaged = Archive::<F>::open(&m)
+                .is_ok_and(|a| matches!(a.chunk(c), Err(ChunkStatus::ChecksumMismatch { .. })));
+            if damaged {
                 break;
             }
             m[off] ^= mask;
@@ -691,7 +672,7 @@ where
 
     // The oracle proper: untouched chunks bit-identical to clean, touched
     // chunks flagged and filled. Any other shape is a silent-wrong decode.
-    if ref_rep.chunks.len() != toc.sizes.len() || ref_vals.len() != clean.len() {
+    if ref_rep.chunks.len() != ar.chunks() || ref_vals.len() != clean.len() {
         report.mismatches += 1;
         report.fail("salvage report/output shape disagrees with the archive".into());
         return;

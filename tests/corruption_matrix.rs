@@ -9,7 +9,7 @@
 //! because the size-table sum check requires every payload byte to be
 //! claimed.
 
-use pfpl::container::{chunk_offsets, Header, Toc, RAW_FLAG};
+use pfpl::container::{chunk_offsets, Toc, RAW_FLAG};
 use pfpl::float::PfplFloat;
 use pfpl::types::{ErrorBound, Mode, Precision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,11 +64,11 @@ fn decode_total(name: &str, precision: Precision, bytes: &[u8], mode: Mode, what
             Ok(Ok(vals)) => {
                 // Ok is only acceptable when the (necessarily parseable)
                 // header's count matches what came back.
-                let (h, _, _) = Header::read(bytes)
+                let toc = Toc::read(bytes)
                     .unwrap_or_else(|e| panic!("{name}: Ok but header unreadable on {what}: {e}"));
                 assert_eq!(
                     vals.len() as u64,
-                    h.count,
+                    toc.header.count,
                     "{name}: wrong output length on {what}"
                 );
             }
@@ -190,8 +190,9 @@ fn size_table_perturbations_are_total() {
 
 /// Every single-byte payload corruption must be *detected* (v2 checksums
 /// leave no blind spots in the payload region) and attributed to the
-/// chunk the byte physically belongs to — both by the strict decoder's
-/// error and by the salvage report, which must keep every other chunk
+/// chunk the byte physically belongs to — by the strict decoder's error in
+/// both modes, by the chunk iterator's one failing item, and by the
+/// salvage and verify reports, which must agree and keep every other chunk
 /// intact and bit-identical.
 #[test]
 fn every_payload_flip_names_the_damaged_chunk() {
@@ -207,15 +208,34 @@ fn every_payload_flip_names_the_damaged_chunk() {
             let expected = offsets.partition_point(|&o| o <= i) - 1;
             mutant[toc.payload_start + i] ^= 0xFF;
             let what = format!("{name}: payload flip at byte {i} (chunk {expected})");
-            match pfpl::decompress::<F>(&mutant, Mode::Serial) {
-                Err(pfpl::Error::ChecksumMismatch { chunk, offset, .. }) => {
-                    assert_eq!(chunk, expected, "{what}: strict decode blamed chunk {chunk}");
-                    assert_eq!(offset, toc.payload_start + offsets[expected], "{what}");
+            for mode in [Mode::Serial, Mode::Parallel] {
+                match pfpl::decompress::<F>(&mutant, mode) {
+                    Err(pfpl::Error::ChecksumMismatch { chunk, offset, .. }) => {
+                        assert_eq!(chunk, expected, "{what}: {mode:?} blamed chunk {chunk}");
+                        assert_eq!(offset, toc.payload_start + offsets[expected], "{what}");
+                    }
+                    other => panic!("{what}: {mode:?}: expected a checksum mismatch: {other:?}"),
                 }
-                other => panic!("{what}: expected a checksum mismatch, got {other:?}"),
             }
+            let failed: Vec<_> = pfpl::decompress_chunks::<F>(&mutant)
+                .unwrap()
+                .enumerate()
+                .filter_map(|(c, item)| item.err().map(|e| (c, e)))
+                .collect();
+            assert!(
+                matches!(
+                    failed.as_slice(),
+                    [(c, pfpl::Error::ChecksumMismatch { chunk, .. })] if *c == expected && *chunk == expected
+                ),
+                "{what}: chunk iterator failed {failed:?}"
+            );
             let (vals, report) =
                 pfpl::decompress_salvage::<F>(&mutant, Mode::Serial, fill).unwrap();
+            assert_eq!(
+                pfpl::verify_archive::<F>(&mutant).unwrap(),
+                report,
+                "{what}: verify and salvage reports differ"
+            );
             let flagged: Vec<usize> = report
                 .chunks
                 .iter()

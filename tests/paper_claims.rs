@@ -1,7 +1,8 @@
 //! Assertions tied to specific claims in the paper's text, as executable
 //! documentation of what the reproduction reproduces.
 
-use pfpl::container::Header;
+use pfpl::container::{Header, Toc};
+use pfpl::exact::noa_within;
 use pfpl::types::{ErrorBound, Mode, Precision};
 use pfpl_data::golden::{golden_specs, golden_values_f32, golden_values_f64};
 use pfpl_data::{suite_by_name, FieldData, SizeClass};
@@ -118,7 +119,7 @@ fn golden_decodes_respect_their_bound() {
                 path.display()
             )
         });
-        let (header, _, _) = Header::read(&archive).unwrap();
+        let header = Toc::read(&archive).unwrap().header;
         match spec.precision {
             Precision::Single => {
                 let orig = golden_values_f32(&spec);
@@ -142,6 +143,26 @@ fn check_bound<F: pfpl::float::PfplFloat>(
     back: &[F],
 ) {
     assert_eq!(orig.len(), back.len(), "{name}: length");
+    // NOA: the user bound times the original values' range, decided
+    // exactly — independent of the header's derived bound, which is the
+    // value the quantizer enforced and must itself lie within it.
+    let (lo, hi) = orig
+        .iter()
+        .map(|v| v.to_f64())
+        .filter(|v| !v.is_nan())
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), v| {
+            (l.min(v), h.max(v))
+        });
+    let noa_holds = |v: f64, r: f64| {
+        [lo, hi, v, r].iter().all(|x| x.is_finite()) && noa_within(v, r, bound.value(), hi, lo)
+    };
+    if let ErrorBound::Noa(_) = bound {
+        let derived = header.derived_bound;
+        assert!(
+            derived == 0.0 || noa_holds(derived, 0.0),
+            "{name}: derived bound {derived:e} exceeds the exact NOA bound"
+        );
+    }
     for (i, (a, b)) in orig.iter().zip(back).enumerate() {
         if a.to_bits() == b.to_bits() {
             continue;
@@ -150,9 +171,7 @@ fn check_bound<F: pfpl::float::PfplFloat>(
         let within = match bound {
             ErrorBound::Abs(eb) => (av - bv).abs() <= eb,
             ErrorBound::Rel(eb) => (av - bv).abs() <= eb * av.abs(),
-            // NOA: the header's derived bound is the ABS bound the
-            // quantizer actually enforced (user bound × value range).
-            ErrorBound::Noa(_) => (av - bv).abs() <= header.derived_bound,
+            ErrorBound::Noa(_) => noa_holds(av, bv),
         };
         assert!(within, "{name}: value {i}: {av} -> {bv} violates {bound:?}");
     }
