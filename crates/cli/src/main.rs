@@ -15,8 +15,11 @@
 //! archive reported by `verify` or `salvage` (so scripts can gate on it).
 
 use pfpl::container::{Header, Toc};
+use pfpl::float::{PfplFloat, Word};
 use pfpl::types::{BoundKind, ErrorBound, Mode, Precision};
+use pfpl::CompressStats;
 use std::process::ExitCode;
+use std::time::Instant;
 
 mod opts;
 use opts::Opts;
@@ -126,12 +129,41 @@ fn read_values_f64(path: &str) -> Result<Vec<f64>, CliError> {
         .collect())
 }
 
-fn to_le_bytes_f32(vals: &[f32]) -> Vec<u8> {
-    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+/// The values' little-endian bytes, written into one pre-sized buffer.
+fn to_le_bytes<F: PfplFloat>(vals: &[F]) -> Vec<u8> {
+    let wb = F::Bits::BITS as usize / 8;
+    let mut out = vec![0u8; vals.len() * wb];
+    for (d, v) in out.chunks_exact_mut(wb).zip(vals) {
+        v.to_bits().write_le(d);
+    }
+    out
 }
 
-fn to_le_bytes_f64(vals: &[f64]) -> Vec<u8> {
-    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+/// `pfpl::compress_with_stats`, returning the seconds spent in that call
+/// alone: the GB/s the CLI prints is the library's, not the file read's.
+fn compress_timed<F: PfplFloat>(
+    data: &[F],
+    bound: ErrorBound,
+    mode: Mode,
+) -> Result<(Vec<u8>, CompressStats, f64), CliError> {
+    let start = Instant::now();
+    let (archive, stats) = pfpl::compress_with_stats(data, bound, mode)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    Ok((archive, stats, start.elapsed().as_secs_f64()))
+}
+
+/// `pfpl::decompress` timed alone (as [`compress_timed`]), then converted
+/// to the output bytes.
+fn decompress_timed<F: PfplFloat>(
+    archive: &[u8],
+    mode: Mode,
+    input: &str,
+) -> Result<(Vec<u8>, f64), CliError> {
+    let start = Instant::now();
+    let vals: Vec<F> =
+        pfpl::decompress(archive, mode).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
+    let secs = start.elapsed().as_secs_f64();
+    Ok((to_le_bytes(&vals), secs))
 }
 
 fn compress(o: &Opts) -> Result<String, CliError> {
@@ -140,15 +172,11 @@ fn compress(o: &Opts) -> Result<String, CliError> {
     let bound = o.bound().map_err(CliError::usage)?;
     let is_double = o.is_double().map_err(CliError::usage)?;
     let mode = o.mode();
-    let start = std::time::Instant::now();
-    let (archive, stats) = if is_double {
-        let data = read_values_f64(input)?;
-        pfpl::compress_with_stats(&data, bound, mode).map_err(|e| CliError::runtime(e.to_string()))?
+    let (archive, stats, secs) = if is_double {
+        compress_timed(&read_values_f64(input)?, bound, mode)?
     } else {
-        let data = read_values_f32(input)?;
-        pfpl::compress_with_stats(&data, bound, mode).map_err(|e| CliError::runtime(e.to_string()))?
+        compress_timed(&read_values_f32(input)?, bound, mode)?
     };
-    let secs = start.elapsed().as_secs_f64();
     let word = if is_double { 8 } else { 4 };
     write_file(output, &archive)?;
     Ok(format!(
@@ -169,20 +197,10 @@ fn decompress(o: &Opts) -> Result<String, CliError> {
     let Toc { header, .. } =
         Toc::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
     let mode = o.mode();
-    let start = std::time::Instant::now();
-    let bytes: Vec<u8> = match header.precision {
-        Precision::Single => {
-            let vals: Vec<f32> = pfpl::decompress(&archive, mode)
-                .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-            to_le_bytes_f32(&vals)
-        }
-        Precision::Double => {
-            let vals: Vec<f64> = pfpl::decompress(&archive, mode)
-                .map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-            to_le_bytes_f64(&vals)
-        }
+    let (bytes, secs) = match header.precision {
+        Precision::Single => decompress_timed::<f32>(&archive, mode, input)?,
+        Precision::Double => decompress_timed::<f64>(&archive, mode, input)?,
     };
-    let secs = start.elapsed().as_secs_f64();
     write_file(output, &bytes)?;
     Ok(format!(
         "{} -> {} | {} values ({:?}, {:?} bound {:.3e}), {:.3} GB/s",
@@ -322,12 +340,12 @@ fn salvage(o: &Opts) -> Result<String, CliError> {
         Precision::Single => {
             let (vals, report) = pfpl::decompress_salvage::<f32>(&archive, mode, fill as f32)
                 .map_err(salvage_err)?;
-            (to_le_bytes_f32(&vals), report)
+            (to_le_bytes(&vals), report)
         }
         Precision::Double => {
             let (vals, report) =
                 pfpl::decompress_salvage::<f64>(&archive, mode, fill).map_err(salvage_err)?;
-            (to_le_bytes_f64(&vals), report)
+            (to_le_bytes(&vals), report)
         }
     };
     write_file(output, &bytes)?;

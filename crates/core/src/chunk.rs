@@ -341,9 +341,7 @@ fn decompress_chunk_dispatch<F: PfplFloat, Q: Quantizer<F>>(
     scratch.words.resize(vals.len(), F::Bits::ZERO);
     shuffle::decode(&scratch.bytes, &mut scratch.words);
     delta::decode_in_place(&mut scratch.words);
-    for (v, &w) in vals.iter_mut().zip(scratch.words.iter()) {
-        *v = q.decode(w);
-    }
+    q.decode_slice(&scratch.words, vals);
     Ok(())
 }
 
@@ -369,9 +367,7 @@ fn decompress_fused<F: PfplFloat, Q: Quantizer<F>>(
     for out_t in vals.chunks_exact_mut(shuffle::TILE_WORDS) {
         shuffle::decode_tile(&mut tile, |p, line| pe.next_line(payload, p, line));
         carry = delta::decode_carry(&mut tile, carry);
-        for (v, &w) in out_t.iter_mut().zip(tile.iter()) {
-            *v = q.decode(w);
-        }
+        q.decode_slice(&tile, out_t);
     }
     Ok(())
 }

@@ -12,6 +12,7 @@
 pub mod negabinary;
 pub mod portable;
 
+use crate::quantize::{rel_lanes, RelQuantizer};
 use std::fmt::Debug;
 use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 
@@ -238,6 +239,22 @@ pub trait PfplFloat: Copy + PartialOrd + PartialEq + Debug + Send + Sync + 'stat
     /// Exact REL-bound check on magnitudes `|a - b| <= eb * a`
     /// (see [`crate::exact`]).
     fn rel_within_mag(a: Self, b: Self, eb: Self) -> bool;
+
+    /// Batched REL encode: `out[i] = q.encode(vals[i])`, returning the
+    /// lossless-word count. The default is the scalar batch loop; `f64`
+    /// overrides it with the eight-lane kernel of
+    /// [`crate::quantize::rel_lanes`] when the host has AVX-512F/DQ. The
+    /// hook lives on the float type so each precision picks its kernel
+    /// with no cast of a generic slice.
+    fn rel_encode_slice(q: &RelQuantizer<Self>, vals: &[Self], out: &mut [Self::Bits]) -> u64 {
+        q.encode_slice_scalar(vals, out)
+    }
+
+    /// Batched REL decode: `out[i] = q.decode(words[i])`, specialized like
+    /// [`Self::rel_encode_slice`].
+    fn rel_decode_slice(q: &RelQuantizer<Self>, words: &[Self::Bits], out: &mut [Self]) {
+        q.decode_slice_scalar(words, out)
+    }
 }
 
 impl PfplFloat for f32 {
@@ -407,6 +424,14 @@ impl PfplFloat for f64 {
     #[inline(always)]
     fn rel_within_mag(a: Self, b: Self, eb: Self) -> bool {
         crate::exact::rel_within_mag_f64(a, b, eb)
+    }
+    fn rel_encode_slice(q: &RelQuantizer<f64>, vals: &[f64], out: &mut [u64]) -> u64 {
+        rel_lanes::encode_slice(q, vals, out).unwrap_or_else(|| q.encode_slice_scalar(vals, out))
+    }
+    fn rel_decode_slice(q: &RelQuantizer<f64>, words: &[u64], out: &mut [f64]) {
+        if !rel_lanes::decode_slice(q, words, out) {
+            q.decode_slice_scalar(words, out)
+        }
     }
 }
 

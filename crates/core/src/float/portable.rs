@@ -13,17 +13,37 @@
 //!
 //! Both functions always compute in `f64`, even for `f32` data, so the
 //! single-precision REL path loses essentially nothing to the approximation.
+//!
+//! **Lane form.** [`crate::quantize::rel_lanes`] runs both functions on
+//! eight `f64` lanes at once (AVX-512, selected at runtime) for the f64
+//! REL quantizer. Its results are bit-identical to these scalar
+//! definitions by construction:
+//!
+//! * every lane performs the same IEEE operations, on the same constants,
+//!   in the same order — each correctly rounded, so equal inputs give
+//!   equal bits;
+//! * multiplies and adds stay separate instructions, never a fused
+//!   multiply-add (Rust does not contract `a * b + c`, and the lane code
+//!   spells out `mul` then `add`);
+//! * branches become lane masks that select between the same two results
+//!   the scalar branch would compute (denormal rescaling in `log2`, the
+//!   √2 range reduction, round-half-away in `exp2`);
+//! * float↔integer conversions only see values in range, where they are
+//!   exact: `exp2`'s lane form is only used for arguments in
+//!   (−1022, 1023), where `scale_by_pow2` is one multiply by a normal
+//!   power of two, and callers route any other group of 8 to the scalar
+//!   functions here, which stay the definition.
 
-const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
-const EXP_BIAS: i64 = 1023;
+pub(crate) const MANT_MASK: u64 = 0x000F_FFFF_FFFF_FFFF;
+pub(crate) const EXP_BIAS: i64 = 1023;
 
 /// ln(2), used by the `exp2` Taylor series.
-const LN2: f64 = std::f64::consts::LN_2;
+pub(crate) const LN2: f64 = std::f64::consts::LN_2;
 /// 2/ln(2): converts the `atanh` series for `ln` into `log2`.
-const TWO_OVER_LN2: f64 = 2.0 / LN2;
+pub(crate) const TWO_OVER_LN2: f64 = 2.0 / LN2;
 /// √2 threshold for the final log range reduction (the exact value is not
 /// load-bearing — any fixed constant near √2 merely balances the reduction).
-const SQRT2: f64 = std::f64::consts::SQRT_2;
+pub(crate) const SQRT2: f64 = std::f64::consts::SQRT_2;
 
 /// Base-2 logarithm of a positive, finite `f64`.
 ///
@@ -91,7 +111,7 @@ pub fn exp2(y: f64) -> f64 {
 }
 
 /// 1/k! for k = 0..=14 (compile-time constants; only IEEE divisions).
-const INV_FACT: [f64; 15] = {
+pub(crate) const INV_FACT: [f64; 15] = {
     let mut f = [1.0f64; 15];
     let mut k = 2;
     let mut fact = 1.0f64;
@@ -100,7 +120,6 @@ const INV_FACT: [f64; 15] = {
         f[k] = 1.0 / fact;
         k += 1;
     }
-    // f[1] = 1/1! = 1.0 already; fix the loop start product for k=2..:
     f
 };
 

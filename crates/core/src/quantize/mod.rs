@@ -19,6 +19,7 @@
 mod abs;
 mod noa;
 mod rel;
+pub mod rel_lanes;
 
 pub use abs::AbsQuantizer;
 pub use noa::{derive_noa_bound, NoaBound};
@@ -52,6 +53,17 @@ pub trait Quantizer<F: PfplFloat>: Send + Sync {
             *w = e;
         }
         lossless
+    }
+
+    /// Decode a whole slice into pre-sized `out` (`out.len() ==
+    /// words.len()`). Semantics are exactly `out[i] = decode(words[i])`,
+    /// bit for bit, however an implementation batches it.
+    #[inline]
+    fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
+        debug_assert_eq!(words.len(), out.len());
+        for (v, &w) in out.iter_mut().zip(words) {
+            *v = self.decode(w);
+        }
     }
 
     /// Encode one fused-pipeline tile: a register/L1-resident sub-slice of

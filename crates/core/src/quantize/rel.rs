@@ -37,15 +37,15 @@ use crate::float::{portable, PfplFloat, Word};
 /// REL quantizer: guarantees `|v - v'| <= eb * |v|` and `sign(v') == sign(v)`.
 #[derive(Debug, Clone)]
 pub struct RelQuantizer<F: PfplFloat> {
-    eb: F,
+    pub(super) eb: F,
     /// Bin width in log2 space: `2 * log2(1 + eb)`.
-    binw: f64,
+    pub(super) binw: f64,
     /// `1 / binw`, so the hot path multiplies instead of divides.
-    inv_binw: f64,
+    pub(super) inv_binw: f64,
     /// `1 - 2^-20`: fast-accept factor (see `AbsQuantizer::fast_lo`).
-    fast_lo: F,
+    pub(super) fast_lo: F,
     /// `1 + 2^-20`: fast-reject factor.
-    fast_hi: F,
+    pub(super) fast_hi: F,
 }
 
 impl<F: PfplFloat> RelQuantizer<F> {
@@ -83,15 +83,15 @@ impl<F: PfplFloat> RelQuantizer<F> {
     }
 
     /// Number of payload bits available for the bin magnitude.
-    const fn mag_bits() -> u32 {
+    pub(super) const fn mag_bits() -> u32 {
         F::MANT_BITS - 2
     }
     /// Largest encodable bin magnitude (one code is reserved for zero).
-    fn max_mag() -> u64 {
+    pub(super) fn max_mag() -> u64 {
         (1u64 << Self::mag_bits()) - 2
     }
     /// Magnitude code reserved for ±0.0 (bin sign 0).
-    fn zero_mag() -> u64 {
+    pub(super) fn zero_mag() -> u64 {
         (1u64 << Self::mag_bits()) - 1
     }
     /// The XOR mask applied to every emitted word (sign + exponent bits).
@@ -163,31 +163,15 @@ impl<F: PfplFloat> RelQuantizer<F> {
     }
 }
 
-impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
-    #[inline]
-    fn encode(&self, v: F) -> F::Bits {
-        let xm = Self::xor_mask();
-        let bits = v.to_bits();
-        if v.is_nan() {
-            // Negative NaNs become positive to vacate the bin range.
-            return (bits & !F::SIGN_MASK) ^ xm;
-        }
-        if !v.is_finite() {
-            return bits ^ xm; // ±∞ lossless
-        }
-        if bits & !F::SIGN_MASK == F::Bits::ZERO {
-            return Self::pack(v.is_sign_negative(), false, Self::zero_mag()) ^ xm;
-        }
-        self.encode_plain(v)
-    }
-
-    /// Batched encode: groups of 8 are prefiltered with one branchless
-    /// pass (`finite && nonzero` per lane); an all-plain group runs the
+impl<F: PfplFloat> RelQuantizer<F> {
+    /// The scalar batch encode, the definition every batched REL kernel
+    /// must match: groups of 8 are prefiltered with one branchless pass
+    /// (`finite && nonzero` per lane); an all-plain group runs the
     /// factored `encode_plain` body with no special-case tests,
     /// any other group re-runs the full scalar [`Quantizer::encode`].
     /// Both paths call the exact same code for each value class, so the
     /// output is bit-identical to the scalar path by construction.
-    fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
+    pub fn encode_slice_scalar(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
         debug_assert_eq!(vals.len(), out.len());
         let mut lossless = 0u64;
         let mut groups = vals.chunks_exact(8);
@@ -217,6 +201,45 @@ impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
             *w = e;
         }
         lossless
+    }
+
+    /// The scalar batch decode: `out[i] = decode(words[i])`.
+    pub fn decode_slice_scalar(&self, words: &[F::Bits], out: &mut [F]) {
+        debug_assert_eq!(words.len(), out.len());
+        for (v, &w) in out.iter_mut().zip(words) {
+            *v = self.decode(w);
+        }
+    }
+}
+
+impl<F: PfplFloat> Quantizer<F> for RelQuantizer<F> {
+    #[inline]
+    fn encode(&self, v: F) -> F::Bits {
+        let xm = Self::xor_mask();
+        let bits = v.to_bits();
+        if v.is_nan() {
+            // Negative NaNs become positive to vacate the bin range.
+            return (bits & !F::SIGN_MASK) ^ xm;
+        }
+        if !v.is_finite() {
+            return bits ^ xm; // ±∞ lossless
+        }
+        if bits & !F::SIGN_MASK == F::Bits::ZERO {
+            return Self::pack(v.is_sign_negative(), false, Self::zero_mag()) ^ xm;
+        }
+        self.encode_plain(v)
+    }
+
+    /// Batched encode through [`PfplFloat::rel_encode_slice`]: the
+    /// runtime-selected lane kernel for f64, [`Self::encode_slice_scalar`]
+    /// otherwise.
+    fn encode_slice(&self, vals: &[F], out: &mut [F::Bits]) -> u64 {
+        F::rel_encode_slice(self, vals, out)
+    }
+
+    /// Batched decode through [`PfplFloat::rel_decode_slice`].
+    fn decode_slice(&self, words: &[F::Bits], out: &mut [F]) {
+        F::rel_decode_slice(self, words, out)
     }
 
     #[inline]
