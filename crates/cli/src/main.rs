@@ -17,7 +17,7 @@
 use pfpl::container::{Header, Toc};
 use pfpl::float::{PfplFloat, Word};
 use pfpl::types::{BoundKind, ErrorBound, Mode, Precision};
-use pfpl::CompressStats;
+use pfpl::{CompressStats, SalvageReport};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -101,31 +101,19 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     std::fs::write(path, bytes).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
-fn read_values_f32(path: &str) -> Result<Vec<f32>, CliError> {
+/// A raw little-endian dump of `F` values.
+fn read_values<F: PfplFloat>(path: &str) -> Result<Vec<F>, CliError> {
     let bytes = read_file(path)?;
-    if bytes.len() % 4 != 0 {
+    let wb = F::Bits::BITS as usize / 8;
+    if bytes.len() % wb != 0 {
         return Err(CliError::runtime(format!(
-            "{path}: size {} is not a multiple of 4",
+            "{path}: size {} is not a multiple of {wb}",
             bytes.len()
         )));
     }
     Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn read_values_f64(path: &str) -> Result<Vec<f64>, CliError> {
-    let bytes = read_file(path)?;
-    if bytes.len() % 8 != 0 {
-        return Err(CliError::runtime(format!(
-            "{path}: size {} is not a multiple of 8",
-            bytes.len()
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+        .chunks_exact(wb)
+        .map(|c| F::from_bits(F::Bits::read_le(c)))
         .collect())
 }
 
@@ -173,9 +161,9 @@ fn compress(o: &Opts) -> Result<String, CliError> {
     let is_double = o.is_double().map_err(CliError::usage)?;
     let mode = o.mode();
     let (archive, stats, secs) = if is_double {
-        compress_timed(&read_values_f64(input)?, bound, mode)?
+        compress_timed(&read_values::<f64>(input)?, bound, mode)?
     } else {
-        compress_timed(&read_values_f32(input)?, bound, mode)?
+        compress_timed(&read_values::<f32>(input)?, bound, mode)?
     };
     let word = if is_double { 8 } else { 4 };
     write_file(output, &archive)?;
@@ -284,34 +272,10 @@ fn verify(o: &Opts) -> Result<String, CliError> {
 /// maximum error against the original values.
 fn bound_check(input: &str, arch_path: &str, archive: &[u8], h: Header) -> Result<String, CliError> {
     let eb = h.user_bound;
-    let decode_err = |e: pfpl::Error| CliError::runtime(format!("{arch_path}: {e}"));
-    let (max_err, metric, n) = match h.precision {
-        Precision::Single => {
-            let orig = read_values_f32(input)?;
-            let recon: Vec<f32> = pfpl::decompress(archive, Mode::Parallel).map_err(decode_err)?;
-            if orig.len() != recon.len() {
-                return Err(CliError::runtime(format!(
-                    "length mismatch: input {} vs archive {}",
-                    orig.len(),
-                    recon.len()
-                )));
-            }
-            let orig64: Vec<f64> = orig.iter().map(|&v| v as f64).collect();
-            let rec64: Vec<f64> = recon.iter().map(|&v| v as f64).collect();
-            (measure(&orig64, &rec64, h.kind), h.kind.name(), orig.len())
-        }
-        Precision::Double => {
-            let orig = read_values_f64(input)?;
-            let recon: Vec<f64> = pfpl::decompress(archive, Mode::Parallel).map_err(decode_err)?;
-            if orig.len() != recon.len() {
-                return Err(CliError::runtime(format!(
-                    "length mismatch: input {} vs archive {}",
-                    orig.len(),
-                    recon.len()
-                )));
-            }
-            (measure(&orig, &recon, h.kind), h.kind.name(), orig.len())
-        }
+    let metric = h.kind.name();
+    let (max_err, n) = match h.precision {
+        Precision::Single => max_error::<f32>(input, arch_path, archive, h.kind)?,
+        Precision::Double => max_error::<f64>(input, arch_path, archive, h.kind)?,
     };
     if max_err <= eb {
         Ok(format!(
@@ -322,6 +286,27 @@ fn bound_check(input: &str, arch_path: &str, archive: &[u8], h: Header) -> Resul
             "BOUND VIOLATED: max {metric} error {max_err:.6e} > bound {eb:.6e}"
         )))
     }
+}
+
+/// Decode `archive` and return its maximum `kind` error against the raw
+/// values in `input`, with the value count.
+fn max_error<F: PfplFloat>(
+    input: &str,
+    arch_path: &str,
+    archive: &[u8],
+    kind: BoundKind,
+) -> Result<(f64, usize), CliError> {
+    let orig = read_values::<F>(input)?;
+    let recon: Vec<F> = pfpl::decompress(archive, Mode::Parallel)
+        .map_err(|e| CliError::runtime(format!("{arch_path}: {e}")))?;
+    if orig.len() != recon.len() {
+        return Err(CliError::runtime(format!(
+            "length mismatch: input {} vs archive {}",
+            orig.len(),
+            recon.len()
+        )));
+    }
+    Ok((measure(&orig, &recon, kind), orig.len()))
 }
 
 /// `salvage -i <archive> -o <raw floats>`: decode everything that still
@@ -335,19 +320,11 @@ fn salvage(o: &Opts) -> Result<String, CliError> {
     let mode = o.mode();
     let archive = read_file(input)?;
     let toc = Toc::read(&archive).map_err(|e| CliError::runtime(format!("{input}: {e}")))?;
-    let salvage_err = |e: pfpl::Error| CliError::runtime(format!("{input}: unsalvageable: {e}"));
     let (bytes, report) = match toc.header.precision {
-        Precision::Single => {
-            let (vals, report) = pfpl::decompress_salvage::<f32>(&archive, mode, fill as f32)
-                .map_err(salvage_err)?;
-            (to_le_bytes(&vals), report)
-        }
-        Precision::Double => {
-            let (vals, report) =
-                pfpl::decompress_salvage::<f64>(&archive, mode, fill).map_err(salvage_err)?;
-            (to_le_bytes(&vals), report)
-        }
-    };
+        Precision::Single => salvage_bytes::<f32>(&archive, mode, fill),
+        Precision::Double => salvage_bytes::<f64>(&archive, mode, fill),
+    }
+    .map_err(|e| CliError::runtime(format!("{input}: unsalvageable: {e}")))?;
     write_file(output, &bytes)?;
     if report.is_clean() {
         Ok(format!(
@@ -361,6 +338,17 @@ fn salvage(o: &Opts) -> Result<String, CliError> {
             report.summary()
         )))
     }
+}
+
+/// `pfpl::decompress_salvage` as little-endian output bytes, damaged
+/// chunks filled with `fill` rounded to `F`.
+fn salvage_bytes<F: PfplFloat>(
+    archive: &[u8],
+    mode: Mode,
+    fill: f64,
+) -> pfpl::Result<(Vec<u8>, SalvageReport)> {
+    let (vals, report) = pfpl::decompress_salvage(archive, mode, F::from_f64(fill))?;
+    Ok((to_le_bytes(&vals), report))
 }
 
 /// Deterministic structure-aware fuzzing (see the `pfpl-fuzz` crate):
@@ -397,37 +385,36 @@ fn fuzz(o: &Opts) -> Result<String, CliError> {
     }
 }
 
-fn measure(orig: &[f64], recon: &[f64], kind: BoundKind) -> f64 {
+/// Maximum `kind` error of `recon` against `orig`, computed in f64.
+fn measure<F: PfplFloat>(orig: &[F], recon: &[F], kind: BoundKind) -> f64 {
+    let pairs = || {
+        orig.iter()
+            .zip(recon)
+            .map(|(a, b)| (a.to_f64(), b.to_f64()))
+            .filter(|(a, _)| a.is_finite())
+    };
     let mut max = 0.0f64;
     match kind {
         BoundKind::Abs => {
-            for (a, b) in orig.iter().zip(recon) {
-                if a.is_finite() {
-                    max = max.max((a - b).abs());
-                }
+            for (a, b) in pairs() {
+                max = max.max((a - b).abs());
             }
         }
         BoundKind::Rel => {
-            for (a, b) in orig.iter().zip(recon) {
-                if a.is_finite() && *a != 0.0 {
-                    max = max.max(((a - b) / a).abs());
-                }
+            for (a, b) in pairs().filter(|&(a, _)| a != 0.0) {
+                max = max.max(((a - b) / a).abs());
             }
         }
         BoundKind::Noa => {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &a in orig {
-                if a.is_finite() {
-                    lo = lo.min(a);
-                    hi = hi.max(a);
-                }
+            for (a, _) in pairs() {
+                lo = lo.min(a);
+                hi = hi.max(a);
             }
             let range = hi - lo;
             if range > 0.0 {
-                for (a, b) in orig.iter().zip(recon) {
-                    if a.is_finite() {
-                        max = max.max((a - b).abs() / range);
-                    }
+                for (a, b) in pairs() {
+                    max = max.max((a - b).abs() / range);
                 }
             }
         }

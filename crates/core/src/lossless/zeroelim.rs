@@ -17,6 +17,21 @@
 //! where `nonrep_k` are the non-repeating bytes of `bitmap_{k-1}` flagged by
 //! `bitmap_k` (predecessor initialized to zero at each level).
 //!
+//! Every encoder and decoder here — the staged [`encode_to_scratch`] /
+//! [`decode_into`] and the streaming [`PlaneScratch`] — is built on two
+//! primitives:
+//!
+//! * the 8-byte **group kernel**, `compress_group` / `expand_group`: one
+//!   bitmap byte and its survivors, packed in ascending byte order. It is
+//!   the definition of the format's level-0 bytes.
+//! * the 64-byte **line kernel**, `line::compress` / `line::expand`: eight
+//!   bitmap bytes (one `u64` mask) and the line's survivors. Its scalar
+//!   version, eight group-kernel calls, is the definition and is compiled
+//!   on every host; an AVX-512 BW+VBMI2 version (`vptestmb` +
+//!   `vpcompressb` / `vpexpandb`) is chosen at runtime where the host has
+//!   it, and emits the same bytes because compaction keeps ascending byte
+//!   order.
+//!
 //! Encoding is split into a staging step ([`encode_to_scratch`]) that
 //! computes every piece into reusable [`Scratch`] buffers and returns the
 //! total serialized length, and emit steps ([`append_encoded`] /
@@ -39,134 +54,58 @@ fn bitmap_len(n: usize) -> usize {
 /// steady-state use performs no heap allocation.
 #[derive(Default)]
 pub struct Scratch {
-    /// Surviving (nonzero) data bytes.
+    /// Surviving (nonzero) data bytes in `data[..data_len]`; the buffer
+    /// only grows, so restaging never zero-fills it.
     data: Vec<u8>,
+    data_len: usize,
+    /// Level-0 (nonzero) bitmap.
+    level0: Vec<u8>,
+    levels: Levels,
+}
+
+/// The repeat levels over a level-0 bitmap, shared by both encoders and
+/// both decoders.
+#[derive(Default)]
+struct Levels {
+    /// The top (level-`LEVELS`) bitmap once built.
+    top: Vec<u8>,
+    /// Ping-pong partner of `top` while building and decoding.
+    tmp: Vec<u8>,
     /// Non-repeating bytes of bitmap levels 0..LEVELS-1.
     nonreps: [Vec<u8>; LEVELS],
-    /// Ping-pong bitmap buffers; after staging, `bitmap_a` holds the top
-    /// (level-`LEVELS`) bitmap.
-    bitmap_a: Vec<u8>,
-    bitmap_b: Vec<u8>,
 }
 
-/// Flag nonzero bytes of `src` into `bitmap` and append the nonzero bytes
-/// themselves to `data`. Processes 8 bytes per step with a SWAR
-/// nonzero-byte mask; all-zero and all-nonzero groups take fast paths
-/// (zero groups dominate for compressible data).
-fn build_nonzero_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
-    bitmap.clear();
-    bitmap.resize(bitmap_len(src.len()), 0);
-    #[allow(unused_mut)]
-    let mut head = 0usize;
-    #[cfg(all(
-        target_arch = "x86_64",
-        target_feature = "avx512f",
-        target_feature = "avx512bw",
-        target_feature = "avx512vbmi2"
-    ))]
-    {
-        // Whole-line kernel for the bulk of the input; the scalar loop
-        // below finishes the (< 64-byte) tail with identical output.
-        let mut tmp = [0u8; 64];
-        while head + 64 <= src.len() {
-            let l: &[u8; 64] = src[head..head + 64].try_into().unwrap();
-            let (mask, n) = line::compress64(l, &mut tmp);
-            bitmap[head >> 3..(head >> 3) + 8].copy_from_slice(&mask.to_le_bytes());
-            data.extend_from_slice(&tmp[..n]);
-            head += 64;
-        }
-    }
-    let mut chunks = src[head..].chunks_exact(8);
-    let mut bi = head >> 3;
-    for chunk in &mut chunks {
-        let x = u64::from_le_bytes(chunk.try_into().unwrap());
-        let mask = nonzero_byte_mask(x);
-        bitmap[bi] = mask;
-        if mask == 0xFF {
-            data.extend_from_slice(chunk);
-        } else {
-            // Emit only the flagged bytes: one iteration per set bit
-            // (ascending, so byte order is preserved) instead of eight
-            // test-and-branch rounds.
-            let mut m = mask;
-            while m != 0 {
-                data.push(chunk[m.trailing_zeros() as usize]);
-                m &= m - 1;
+impl Levels {
+    /// Build every repeat level over `level0`, returning their serialized
+    /// length.
+    fn build(&mut self, level0: &[u8]) -> usize {
+        for (k, nr) in self.nonreps.iter_mut().enumerate() {
+            nr.clear();
+            if k == 0 {
+                build_nonrepeat_into(level0, &mut self.top, nr);
+            } else {
+                build_nonrepeat_into(&self.top, &mut self.tmp, nr);
+                std::mem::swap(&mut self.top, &mut self.tmp);
             }
         }
-        bi += 1;
+        self.top.len() + self.nonreps.iter().map(Vec::len).sum::<usize>()
     }
-    for (b, &v) in chunks.remainder().iter().enumerate() {
-        if v != 0 {
-            bitmap[bi] |= 1 << b;
-            data.push(v);
-        }
+
+    /// The serialized level bytes in order: the top bitmap, then the
+    /// non-repeating bytes from the highest level down.
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(&self.top[..]).chain(self.nonreps.iter().rev().map(Vec::as_slice))
     }
 }
 
-/// AVX-512 line kernels: `vptestmb` computes eight bitmap bytes at once,
-/// and `vpcompressb` / `vpexpandb` (AVX-512 VBMI2) perform the byte
-/// compaction / expansion of a whole 64-byte line in single instructions.
-/// Compaction order (ascending byte index) is identical to the scalar
-/// set-bit iteration, so every output stays byte-for-byte the same as the
-/// scalar paths, which remain as the only implementation on other targets.
-#[cfg(all(
-    target_arch = "x86_64",
-    target_feature = "avx512f",
-    target_feature = "avx512bw",
-    target_feature = "avx512vbmi2"
-))]
-mod line {
-    use std::arch::x86_64::*;
-
-    /// Pack the nonzero bytes of `line` (ascending) into the head of
-    /// `dst`; returns `(mask, survivor_count)` where bit `i` of `mask` is
-    /// set iff `line[i] != 0` (little-endian byte `j` of `mask` equals the
-    /// `nonzero_byte_mask` of 8-byte group `j`). `dst` must be at least
-    /// 64 bytes: the full compressed vector is stored, and the bytes past
-    /// the survivor count are garbage for the caller to ignore or
-    /// overwrite.
-    #[inline]
-    pub fn compress64(line: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
-        // Caller contract (encode side only — never reachable from archive
-        // bytes): kept as a hard assert because it guards the unsafe
-        // 64-byte store below.
-        assert!(dst.len() >= 64);
-        // SAFETY: the required target features are statically enabled
-        // (this module only compiles when they are); both pointers cover
-        // 64 valid bytes.
-        unsafe {
-            let v = _mm512_loadu_si512(line.as_ptr().cast());
-            let mask = _mm512_test_epi8_mask(v, v);
-            let packed = _mm512_maskz_compress_epi8(mask, v);
-            _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed);
-            (mask, mask.count_ones() as usize)
-        }
+/// Copy `parts` back to back into `dst`, whose length must be their total.
+fn write_parts<'a>(parts: impl Iterator<Item = &'a [u8]>, dst: &mut [u8]) {
+    let mut off = 0usize;
+    for part in parts {
+        dst[off..off + part.len()].copy_from_slice(part);
+        off += part.len();
     }
-
-    /// Inverse of [`compress64`]: scatter the first `popcount(mask)` bytes
-    /// of `src` to the set bit positions of `mask`, zeros elsewhere. Only
-    /// those bytes of `src` are accessed (masked load with fault
-    /// suppression), so `src` may be shorter than 64 bytes.
-    #[inline]
-    pub fn expand64(mask: u64, src: &[u8], out: &mut [u8; 64]) {
-        let need = mask.count_ones() as usize;
-        // Caller contract: every decode caller first proves the payload
-        // holds all survivors (`begin_decode`'s exact-count check /
-        // `expand_into`'s `needed <= avail` check), so this is not
-        // reachable from untrusted archive bytes. Kept as a hard assert
-        // because it guards the unsafe masked load below.
-        assert!(src.len() >= need);
-        // SAFETY: features statically enabled; the masked load reads only
-        // the `need` in-bounds bytes (AVX-512 masked loads suppress faults
-        // on masked-out elements); the store covers 64 valid bytes.
-        unsafe {
-            let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
-            let v = _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast());
-            let ex = _mm512_maskz_expand_epi8(mask, v);
-            _mm512_storeu_si512(out.as_mut_ptr().cast(), ex);
-        }
-    }
+    debug_assert_eq!(off, dst.len());
 }
 
 /// SWAR: bit `i` of the result is set iff byte `i` of `x` is nonzero.
@@ -179,49 +118,238 @@ fn nonzero_byte_mask(x: u64) -> u8 {
     ((m >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
+/// Pack the bytes of `group` flagged in `mask` into the head of `dst` in
+/// ascending byte order, returning their count. A full mask is one 8-byte
+/// copy; otherwise one iteration per set bit.
+#[inline(always)]
+fn pack_group(group: [u8; 8], mask: u8, dst: &mut [u8]) -> usize {
+    if mask == 0xFF {
+        dst[..8].copy_from_slice(&group);
+        return 8;
+    }
+    let mut m = mask;
+    let mut k = 0usize;
+    while m != 0 {
+        dst[k] = group[m.trailing_zeros() as usize];
+        k += 1;
+        m &= m - 1;
+    }
+    k
+}
+
+/// Group kernel, encode side: the bitmap byte of `group` (bit `i` set iff
+/// byte `i` is nonzero) and its nonzero bytes packed into the head of
+/// `dst`. Returns `(mask, survivors)`; `dst` must hold the survivors
+/// (8 bytes always suffice).
+#[inline(always)]
+fn compress_group(group: [u8; 8], dst: &mut [u8]) -> (u8, usize) {
+    let mask = nonzero_byte_mask(u64::from_le_bytes(group));
+    (mask, pack_group(group, mask, dst))
+}
+
+/// Group kernel, decode side: the inverse of [`compress_group`]. Scatters
+/// the first `mask.count_ones()` bytes of `src` to the set bit positions
+/// of `mask`, zeros elsewhere.
+#[inline(always)]
+fn expand_group(mask: u8, src: &[u8]) -> [u8; 8] {
+    if mask == 0xFF {
+        return src[..8].try_into().unwrap();
+    }
+    let mut group = [0u8; 8];
+    let mut m = mask;
+    let mut k = 0usize;
+    while m != 0 {
+        group[m.trailing_zeros() as usize] = src[k];
+        k += 1;
+        m &= m - 1;
+    }
+    group
+}
+
+/// The 64-byte line kernel. Byte `j` of a line mask (little-endian) is the
+/// group-kernel mask of the line's 8-byte group `j`, and survivors are
+/// packed in ascending byte order, so [`compress_scalar`] — eight group
+/// kernel calls — is the definition. [`compress`] / [`expand`] run the
+/// AVX-512 BW+VBMI2 kernel where the host has it, detected at runtime.
+mod line {
+    use super::{compress_group, expand_group};
+
+    /// True when [`compress`] / [`expand`] run the AVX-512 kernel here.
+    #[cfg(test)]
+    pub fn vector_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            return true;
+        }
+        false
+    }
+
+    /// Pack the nonzero bytes of `bytes` into the head of `dst`; returns
+    /// `(mask, survivors)` where bit `i` of `mask` is set iff `bytes[i]`
+    /// is nonzero. `dst` must be at least 64 bytes: the vector kernel
+    /// stores a whole line, and the bytes past the survivors are garbage
+    /// for the caller to ignore or overwrite.
+    #[inline]
+    pub fn compress(bytes: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+        // One contract for both kernels, so a caller that breaks it fails
+        // on every host (encode side only, never reachable from archive
+        // bytes).
+        assert!(dst.len() >= 64);
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            // SAFETY: the kernel's target features were detected just above.
+            return unsafe { avx512::compress(bytes, dst) };
+        }
+        compress_scalar(bytes, dst)
+    }
+
+    /// Inverse of [`compress`]: scatter the first `mask.count_ones()`
+    /// bytes of `src` to the set bit positions of `mask`, zeros elsewhere.
+    /// Only those bytes of `src` are read, so `src` may be shorter than
+    /// 64 bytes.
+    #[inline]
+    pub fn expand(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+        // One contract for both kernels. Every decode caller first proves
+        // the payload holds all survivors (`begin_decode`'s exact-count
+        // check / `expand_into`'s `needed <= avail` check), so this is not
+        // reachable from archive bytes.
+        assert!(src.len() >= mask.count_ones() as usize);
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            // SAFETY: the kernel's target features were detected just above.
+            unsafe { avx512::expand(mask, src, out) };
+            return;
+        }
+        expand_scalar(mask, src, out)
+    }
+
+    /// The definition of [`compress`]: one group-kernel call per 8 bytes.
+    pub fn compress_scalar(bytes: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+        let mut mask = 0u64;
+        let mut n = 0usize;
+        for (j, group) in bytes.chunks_exact(8).enumerate() {
+            let (m, k) = compress_group(group.try_into().unwrap(), &mut dst[n..]);
+            mask |= (m as u64) << (8 * j);
+            n += k;
+        }
+        (mask, n)
+    }
+
+    /// The definition of [`expand`]: one group-kernel call per 8 bytes.
+    pub fn expand_scalar(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+        let mut n = 0usize;
+        for (j, group) in out.chunks_exact_mut(8).enumerate() {
+            let m = (mask >> (8 * j)) as u8;
+            group.copy_from_slice(&expand_group(m, &src[n..]));
+            n += m.count_ones() as usize;
+        }
+    }
+
+    /// `vptestmb` computes the eight mask bytes at once, and `vpcompressb`
+    /// / `vpexpandb` (AVX-512 VBMI2) compact / expand the whole line in
+    /// single instructions. The functions are compiled for these features
+    /// whatever the build's target CPU; in a build whose target CPU has
+    /// them, detection is a constant and the kernels inline.
+    #[cfg(target_arch = "x86_64")]
+    mod avx512 {
+        use std::arch::x86_64::*;
+
+        pub fn available() -> bool {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vbmi2")
+        }
+
+        /// [`super::compress`]; `dst` must be at least 64 bytes (a hard
+        /// assert: it guards the vector store).
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+        pub fn compress(bytes: &[u8; 64], dst: &mut [u8]) -> (u64, usize) {
+            assert!(dst.len() >= 64);
+            // SAFETY: both pointers cover 64 valid bytes.
+            unsafe {
+                let v = _mm512_loadu_si512(bytes.as_ptr().cast());
+                let mask = _mm512_test_epi8_mask(v, v);
+                let packed = _mm512_maskz_compress_epi8(mask, v);
+                _mm512_storeu_si512(dst.as_mut_ptr().cast(), packed);
+                (mask, mask.count_ones() as usize)
+            }
+        }
+
+        /// [`super::expand`]; `src` must hold `mask.count_ones()` bytes (a
+        /// hard assert: it guards the masked load).
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+        pub fn expand(mask: u64, src: &[u8], out: &mut [u8; 64]) {
+            let need = mask.count_ones() as usize;
+            assert!(src.len() >= need);
+            // SAFETY: the masked load reads only the `need` in-bounds bytes
+            // (AVX-512 masked loads suppress faults on masked-out
+            // elements); the store covers 64 valid bytes.
+            unsafe {
+                let lm: __mmask64 = if need == 64 { !0 } else { (1u64 << need) - 1 };
+                let v = _mm512_maskz_loadu_epi8(lm, src.as_ptr().cast());
+                let ex = _mm512_maskz_expand_epi8(mask, v);
+                _mm512_storeu_si512(out.as_mut_ptr().cast(), ex);
+            }
+        }
+    }
+}
+
+/// Flag the nonzero bytes of `src` into `bitmap` and pack the nonzero bytes
+/// themselves, in order, into the head of `data` (at least `src.len()`
+/// bytes), returning their count. Whole lines go through the line kernel,
+/// the tail through the group kernel.
+fn build_nonzero_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut [u8]) -> usize {
+    bitmap.clear();
+    bitmap.resize(bitmap_len(src.len()), 0);
+    let mut n = 0usize;
+    let mut lines = src.chunks_exact(64);
+    for (bytes, bm) in (&mut lines).zip(bitmap.chunks_exact_mut(8)) {
+        // `n <= head` and `head + 64 <= src.len()` leave the line kernel
+        // its 64 bytes of headroom.
+        let (mask, k) = line::compress(bytes.try_into().unwrap(), &mut data[n..]);
+        bm.copy_from_slice(&mask.to_le_bytes());
+        n += k;
+    }
+    let head = src.len() - lines.remainder().len();
+    for (g, bm) in lines.remainder().chunks(8).zip(&mut bitmap[head / 8..]) {
+        // A partial final group is zero-padded; padding is never flagged.
+        let mut group = [0u8; 8];
+        group[..g.len()].copy_from_slice(g);
+        let (mask, k) = compress_group(group, &mut data[n..]);
+        *bm = mask;
+        n += k;
+    }
+    n
+}
+
 /// Flag bytes of `src` that differ from their predecessor (predecessor
 /// initialized to 0) and append those bytes to `data`.
 ///
 /// Works on 8-byte groups: `y = x ^ ((x << 8) | prev)` has a zero byte
-/// exactly where a byte repeats its predecessor, so `y == 0` (all repeat)
-/// and the classic SWAR zero-byte probe `(y - 0x0101…) & !y & 0x8080…`
-/// (zero ⇒ no repeats at all) route the two common cases on bitmap data —
-/// long constant runs and dense change regions — past the per-byte loop.
-/// The probe can report spurious zero bytes (a 0x01 directly above a zero
-/// byte), so per-byte extraction uses the exact [`nonzero_byte_mask`].
+/// exactly where a byte repeats its predecessor, so the group's bitmap byte
+/// is the [`nonzero_byte_mask`] of `y` and the flagged bytes are packed as
+/// in the group kernel. All-repeat groups (long constant runs of bitmap
+/// data) skip both.
 fn build_nonrepeat_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
     bitmap.clear();
     bitmap.resize(bitmap_len(src.len()), 0);
     let mut prev = 0u8;
     let mut chunks = src.chunks_exact(8);
-    let mut bi = 0usize;
-    for chunk in &mut chunks {
+    for (chunk, bm) in (&mut chunks).zip(bitmap.iter_mut()) {
         let x = u64::from_le_bytes(chunk.try_into().unwrap());
         // byte i of y = src byte i XOR its predecessor
         let y = x ^ ((x << 8) | prev as u64);
         prev = (x >> 56) as u8;
-        if y == 0 {
-            bi += 1; // all eight bytes repeat; bitmap byte stays 0
-            continue;
+        if y != 0 {
+            *bm = nonzero_byte_mask(y);
+            let mut packed = [0u8; 8];
+            let k = pack_group(chunk.try_into().unwrap(), *bm, &mut packed);
+            data.extend_from_slice(&packed[..k]);
         }
-        const ONES: u64 = 0x0101_0101_0101_0101;
-        const HIGH: u64 = 0x8080_8080_8080_8080;
-        if y.wrapping_sub(ONES) & !y & HIGH == 0 {
-            // no zero byte in y: every byte differs from its predecessor
-            bitmap[bi] = 0xFF;
-            data.extend_from_slice(chunk);
-        } else {
-            let mask = nonzero_byte_mask(y);
-            bitmap[bi] = mask;
-            // Set-bit iteration, ascending: same order as a byte scan.
-            let mut m = mask;
-            while m != 0 {
-                data.push(chunk[m.trailing_zeros() as usize]);
-                m &= m - 1;
-            }
-        }
-        bi += 1;
     }
+    let bi = src.len() / 8;
     for (b, &v) in chunks.remainder().iter().enumerate() {
         if v != prev {
             bitmap[bi] |= 1 << b;
@@ -236,37 +364,30 @@ fn build_nonrepeat_into(src: &[u8], bitmap: &mut Vec<u8>, data: &mut Vec<u8>) {
 /// [`write_encoded`] (the staged pieces stay valid until the next
 /// `encode_to_scratch`/`decode_into` call on the same scratch).
 pub fn encode_to_scratch(input: &[u8], s: &mut Scratch) -> usize {
-    s.data.clear();
-    build_nonzero_into(input, &mut s.bitmap_a, &mut s.data);
-    for nr in &mut s.nonreps {
-        nr.clear();
-        build_nonrepeat_into(&s.bitmap_a, &mut s.bitmap_b, nr);
-        std::mem::swap(&mut s.bitmap_a, &mut s.bitmap_b);
+    if s.data.len() < input.len() {
+        s.data.resize(input.len(), 0);
     }
-    s.bitmap_a.len() + s.nonreps.iter().map(Vec::len).sum::<usize>() + s.data.len()
+    s.data_len = build_nonzero_into(input, &mut s.level0, &mut s.data);
+    s.levels.build(&s.level0) + s.data_len
+}
+
+impl Scratch {
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        self.levels
+            .parts()
+            .chain(std::iter::once(&self.data[..self.data_len]))
+    }
 }
 
 /// Append the encoding staged in `s` to `out`.
 pub fn append_encoded(s: &Scratch, out: &mut Vec<u8>) {
-    out.extend_from_slice(&s.bitmap_a); // bitmap_LEVELS
-    for nr in s.nonreps.iter().rev() {
-        out.extend_from_slice(nr);
-    }
-    out.extend_from_slice(&s.data);
+    s.parts().for_each(|part| out.extend_from_slice(part));
 }
 
 /// Write the encoding staged in `s` into `dst`, whose length must equal the
 /// value returned by the matching [`encode_to_scratch`] call.
 pub fn write_encoded(s: &Scratch, dst: &mut [u8]) {
-    let mut off = 0usize;
-    for part in std::iter::once(&s.bitmap_a)
-        .chain(s.nonreps.iter().rev())
-        .chain(std::iter::once(&s.data))
-    {
-        dst[off..off + part.len()].copy_from_slice(part);
-        off += part.len();
-    }
-    debug_assert_eq!(off, dst.len());
+    write_parts(s.parts(), dst);
 }
 
 /// Compress `input` and append the serialized form to `out`.
@@ -296,11 +417,13 @@ pub fn encode(input: &[u8], out: &mut Vec<u8>) {
 ///   (capacity `plane_bytes` each, so regions never collide) and are
 ///   concatenated in plane order on emit — exactly the staged data order.
 ///
-/// The repeat levels are built by the very same `build_nonrepeat_into`
-/// over the completed bitmap, so every serialized byte is identical to
-/// [`encode_to_scratch`] + [`append_encoded`] by construction. Like the
-/// staged encoder, everything stays staged until the raw-fallback decision;
-/// emit via [`PlaneScratch::append_to`] / [`PlaneScratch::write_to`].
+/// Lines and groups go through the same line and group kernels as the
+/// staged encoder, and the repeat levels are built by the very same
+/// `build_nonrepeat_into` over the completed bitmap, so every serialized
+/// byte is identical to [`encode_to_scratch`] + [`append_encoded`] by
+/// construction. Like the staged encoder, everything stays staged until the
+/// raw-fallback decision; emit via [`PlaneScratch::append_to`] /
+/// [`PlaneScratch::write_to`].
 ///
 /// The same struct drives fused *decoding*: [`PlaneScratch::begin_decode`]
 /// expands only the (small) level bitmaps and sets up one payload cursor
@@ -314,10 +437,7 @@ pub struct PlaneScratch {
     /// is assigned (not OR-ed) exactly once per chunk, so `begin` never
     /// zero-fills it.
     bitmap: Vec<u8>,
-    /// Ping-pong pair for the repeat levels; after `finish_encode`,
-    /// `bitmap_b` holds the top (level-`LEVELS`) bitmap.
-    bitmap_b: Vec<u8>,
-    bitmap_c: Vec<u8>,
+    levels: Levels,
     /// Survivor bytes: plane `p` owns `data[p*plane_bytes..][..counts[p]]`.
     data: Vec<u8>,
     /// Encode: survivor count per plane. Decode: absolute payload cursor
@@ -330,8 +450,6 @@ pub struct PlaneScratch {
     /// granularity.
     pending: Vec<u64>,
     pending_len: Vec<u8>,
-    /// Non-repeating bytes of bitmap levels 0..LEVELS-1.
-    nonreps: [Vec<u8>; LEVELS],
 }
 
 impl PlaneScratch {
@@ -363,25 +481,13 @@ impl PlaneScratch {
     /// Eliminate one complete 8-byte group of `plane`: bitmap byte by
     /// assignment, survivors into the plane's data region.
     #[inline(always)]
-    fn commit_group(&mut self, plane: usize, chunk: [u8; 8]) {
+    fn commit_group(&mut self, plane: usize, group: [u8; 8]) {
         let base = plane * self.plane_bytes;
-        let mask = nonzero_byte_mask(u64::from_le_bytes(chunk));
+        let cnt = self.counts[plane];
+        // `cnt <= filled` and `filled + 8 <= plane_bytes`: the group fits.
+        let (mask, k) = compress_group(group, &mut self.data[base + cnt..base + self.plane_bytes]);
         self.bitmap[(base + self.filled[plane]) >> 3] = mask;
-        let mut dst = base + self.counts[plane];
-        if mask == 0xFF {
-            self.data[dst..dst + 8].copy_from_slice(&chunk);
-            dst += 8;
-        } else if mask != 0 {
-            // Set-bit iteration, ascending — same emission order as the
-            // staged `build_nonzero_into`.
-            let mut m = mask;
-            while m != 0 {
-                self.data[dst] = chunk[m.trailing_zeros() as usize];
-                dst += 1;
-                m &= m - 1;
-            }
-        }
-        self.counts[plane] = dst - base;
+        self.counts[plane] = cnt + k;
         self.filled[plane] += 8;
     }
 
@@ -400,98 +506,32 @@ impl PlaneScratch {
     }
 
     /// Stream one whole 64-byte plane line into `plane` — the CPU tile
-    /// kernel's fixed granularity. Byte-for-byte equivalent to
-    /// `push(plane, line)` but a dedicated, inlinable entry: the general
-    /// `push` prologue (pending drain, length split) never runs, so the
-    /// per-line cost is one mask + one pack.
+    /// kernel's fixed granularity, one line-kernel call. Byte-for-byte
+    /// equivalent to `push(plane, bytes)`; no partial group may be pending.
     #[inline]
-    pub fn push_line64(&mut self, plane: usize, line: &[u8; 64]) {
+    pub fn push_line64(&mut self, plane: usize, bytes: &[u8; 64]) {
         debug_assert!(plane < self.planes);
         debug_assert_eq!(self.pending_len[plane], 0);
         debug_assert!(self.filled[plane] + 64 <= self.plane_bytes);
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
-        {
-            let base = plane * self.plane_bytes;
-            let fill = self.filled[plane];
-            let cnt = self.counts[plane];
-            // `cnt <= fill` and `fill + 64 <= plane_bytes` guarantee the
-            // 64-byte headroom `compress64` stores into.
-            let (mask, n) =
-                line::compress64(line, &mut self.data[base + cnt..base + self.plane_bytes]);
-            self.bitmap[(base + fill) >> 3..(base + fill + 64) >> 3]
-                .copy_from_slice(&mask.to_le_bytes());
-            self.filled[plane] = fill + 64;
-            self.counts[plane] = cnt + n;
-        }
-        #[cfg(not(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        )))]
-        self.push(plane, line);
+        let base = plane * self.plane_bytes;
+        let fill = self.filled[plane];
+        let cnt = self.counts[plane];
+        // `cnt <= fill` and `fill + 64 <= plane_bytes` guarantee the
+        // 64-byte headroom the line kernel stores into.
+        let (mask, k) = line::compress(bytes, &mut self.data[base + cnt..base + self.plane_bytes]);
+        self.bitmap[(base + fill) >> 3..(base + fill + 64) >> 3]
+            .copy_from_slice(&mask.to_le_bytes());
+        self.filled[plane] = fill + 64;
+        self.counts[plane] = cnt + k;
     }
 
-    /// Stream `bytes` into `plane`. Any length is accepted (sub-8-byte
-    /// pieces are staged in a pending group); the CPU tile kernel pushes
-    /// whole 64-byte lines, which take the aligned fast path throughout.
+    /// Stream `bytes` into `plane`, any length: pieces smaller than a
+    /// group (the device simulator pushes one transposed word at a time)
+    /// are staged in a pending group, whole groups go straight to the
+    /// group kernel. Whole lines take [`Self::push_line64`].
     pub fn push(&mut self, plane: usize, bytes: &[u8]) {
         debug_assert!(plane < self.planes);
         debug_assert!(self.filled[plane] + self.pending_len[plane] as usize + bytes.len() <= self.plane_bytes);
-        if self.pending_len[plane] == 0 && bytes.len().is_multiple_of(8) {
-            // Fast path: group-aligned input with no partial group staged.
-            // The per-plane cursors live in locals for the whole call so
-            // the group loop matches the staged encoder's tight loop
-            // (loading `counts[plane]`/`filled[plane]` per group costs
-            // ~15% of encode throughput on the full fused pipeline).
-            let base = plane * self.plane_bytes;
-            let fill = self.filled[plane];
-            let mut cnt = self.counts[plane];
-            let bitmap = &mut self.bitmap[(base + fill) >> 3..(base + fill + bytes.len()) >> 3];
-            let data = &mut self.data[base..base + self.plane_bytes];
-            #[cfg(all(
-                target_arch = "x86_64",
-                target_feature = "avx512f",
-                target_feature = "avx512bw",
-                target_feature = "avx512vbmi2"
-            ))]
-            if let Ok(l) = <&[u8; 64]>::try_from(bytes) {
-                // Whole-line kernel (the CPU tile path always pushes 64
-                // bytes): `cnt <= fill` and `fill + 64 <= plane_bytes`
-                // guarantee the 64-byte headroom `compress64` stores into.
-                let (mask, n) = line::compress64(l, &mut data[cnt..]);
-                bitmap.copy_from_slice(&mask.to_le_bytes());
-                self.filled[plane] = fill + 64;
-                self.counts[plane] = cnt + n;
-                return;
-            }
-            for (g, bm) in bytes.chunks_exact(8).zip(bitmap) {
-                let chunk: [u8; 8] = g.try_into().unwrap();
-                let mask = nonzero_byte_mask(u64::from_le_bytes(chunk));
-                *bm = mask;
-                if mask == 0xFF {
-                    data[cnt..cnt + 8].copy_from_slice(&chunk);
-                    cnt += 8;
-                } else if mask != 0 {
-                    // Set-bit iteration, ascending — same emission order
-                    // as the staged `build_nonzero_into`.
-                    let mut m = mask;
-                    while m != 0 {
-                        data[cnt] = chunk[m.trailing_zeros() as usize];
-                        cnt += 1;
-                        m &= m - 1;
-                    }
-                }
-            }
-            self.filled[plane] = fill + bytes.len();
-            self.counts[plane] = cnt;
-            return;
-        }
         let mut rest = bytes;
         while self.pending_len[plane] != 0 && !rest.is_empty() {
             self.push_byte(plane, rest[0]);
@@ -513,53 +553,29 @@ impl PlaneScratch {
     pub fn finish_encode(&mut self) -> usize {
         debug_assert!(self.pending_len.iter().all(|&l| l == 0), "partial group at finish");
         debug_assert!(self.filled.iter().all(|&f| f == self.plane_bytes));
-        // Repeat levels via the staged code path — identical level bytes by
-        // construction. Ping-pong through (bitmap_b, bitmap_c) so the
-        // level-0 bitmap buffer keeps its full size across chunks.
-        let mut lo = std::mem::take(&mut self.bitmap_b);
-        let mut hi = std::mem::take(&mut self.bitmap_c);
-        self.nonreps[0].clear();
-        build_nonrepeat_into(&self.bitmap, &mut lo, &mut self.nonreps[0]);
-        for k in 1..LEVELS {
-            self.nonreps[k].clear();
-            build_nonrepeat_into(&lo, &mut hi, &mut self.nonreps[k]);
-            std::mem::swap(&mut lo, &mut hi);
-        }
-        self.bitmap_b = lo;
-        self.bitmap_c = hi;
-        self.bitmap_b.len()
-            + self.nonreps.iter().map(Vec::len).sum::<usize>()
-            + self.counts.iter().sum::<usize>()
+        // Repeat levels via the staged code path: identical level bytes by
+        // construction.
+        self.levels.build(&self.bitmap) + self.counts.iter().sum::<usize>()
+    }
+
+    fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        let plane_data = (0..self.planes).map(|p| {
+            let base = p * self.plane_bytes;
+            &self.data[base..base + self.counts[p]]
+        });
+        self.levels.parts().chain(plane_data)
     }
 
     /// Append the encoding staged by [`Self::finish_encode`] to `out` —
     /// byte-identical to [`append_encoded`] on the staged pipeline.
     pub fn append_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.bitmap_b); // bitmap_LEVELS
-        for nr in self.nonreps.iter().rev() {
-            out.extend_from_slice(nr);
-        }
-        for p in 0..self.planes {
-            let base = p * self.plane_bytes;
-            out.extend_from_slice(&self.data[base..base + self.counts[p]]);
-        }
+        self.parts().for_each(|part| out.extend_from_slice(part));
     }
 
     /// Write the staged encoding into `dst`, whose length must equal the
     /// value returned by the matching [`Self::finish_encode`] call.
     pub fn write_to(&self, dst: &mut [u8]) {
-        let mut off = 0usize;
-        for part in std::iter::once(&self.bitmap_b).chain(self.nonreps.iter().rev()) {
-            dst[off..off + part.len()].copy_from_slice(part);
-            off += part.len();
-        }
-        for p in 0..self.planes {
-            let base = p * self.plane_bytes;
-            let c = self.counts[p];
-            dst[off..off + c].copy_from_slice(&self.data[base..base + c]);
-            off += c;
-        }
-        debug_assert_eq!(off, dst.len());
+        write_parts(self.parts(), dst);
     }
 
     /// Start fused decoding: expand the level bitmaps (a few hundred bytes
@@ -581,37 +597,7 @@ impl PlaneScratch {
         self.planes = planes;
         self.plane_bytes = plane_bytes;
         let n = planes * plane_bytes;
-        let top_len = level_len(n, LEVELS);
-        if payload.len() < top_len {
-            return Err(Error::Truncated {
-                offset: payload.len(),
-                needed: top_len - payload.len(),
-                have: 0,
-                what: "zero-elimination top bitmap",
-            });
-        }
-        let mut lo = std::mem::take(&mut self.bitmap_b);
-        let mut hi = std::mem::take(&mut self.bitmap_c);
-        lo.clear();
-        lo.extend_from_slice(&payload[..top_len]);
-        let mut cursor = top_len;
-        let mut res = Ok(());
-        for k in (0..LEVELS).rev() {
-            let lower_n = level_len(n, k);
-            // The level-0 bitmap lands in its dedicated buffer; upper
-            // levels ping-pong.
-            let dst = if k == 0 { &mut self.bitmap } else { &mut hi };
-            res = expand_into(&lo, lower_n, payload, &mut cursor, true, dst);
-            if res.is_err() {
-                break;
-            }
-            if k != 0 {
-                std::mem::swap(&mut lo, &mut hi);
-            }
-        }
-        self.bitmap_b = lo;
-        self.bitmap_c = hi;
-        res?;
+        let cursor = expand_levels(payload, n, &mut self.bitmap, &mut self.levels.tmp)?;
         self.counts.clear();
         self.filled.clear();
         let bm_per_plane = plane_bytes / 8;
@@ -643,39 +629,16 @@ impl PlaneScratch {
         debug_assert!(self.filled[plane] + out.len() <= self.plane_bytes);
         let bi0 = (plane * self.plane_bytes + self.filled[plane]) >> 3;
         let mut cur = self.counts[plane];
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
         if let Ok(l) = <&mut [u8; 64]>::try_from(&mut *out) {
-            // Whole-line kernel: eight bitmap bytes form the 64-bit
-            // expansion mask directly. `begin_decode`'s exact length check
-            // guarantees `payload[cur..]` holds every survivor.
+            // The fused kernel's granularity: eight bitmap bytes form the
+            // line kernel's 64-bit mask directly.
             let mask = u64::from_le_bytes(self.bitmap[bi0..bi0 + 8].try_into().unwrap());
-            line::expand64(mask, &payload[cur..], l);
-            self.counts[plane] = cur + mask.count_ones() as usize;
-            self.filled[plane] += 64;
-            return;
-        }
-        for (bi, chunk) in (bi0..).zip(out.chunks_exact_mut(8)) {
-            let mask = self.bitmap[bi];
-            if mask == 0 {
-                chunk.fill(0);
-            } else if mask == 0xFF {
-                chunk.copy_from_slice(&payload[cur..cur + 8]);
-                cur += 8;
-            } else {
-                chunk.fill(0);
-                // Scatter by set-bit iteration, ascending — the encoder's
-                // emission order.
-                let mut m = mask;
-                while m != 0 {
-                    chunk[m.trailing_zeros() as usize] = payload[cur];
-                    cur += 1;
-                    m &= m - 1;
-                }
+            line::expand(mask, &payload[cur..], l);
+            cur += mask.count_ones() as usize;
+        } else {
+            for (&mask, group) in self.bitmap[bi0..].iter().zip(out.chunks_exact_mut(8)) {
+                group.copy_from_slice(&expand_group(mask, &payload[cur..]));
+                cur += mask.count_ones() as usize;
             }
         }
         self.counts[plane] = cur;
@@ -736,57 +699,55 @@ fn expand_into(
             }
             prev = *slot;
         }
-    } else {
-        // Zero-fill rule: group-at-a-time fast paths (zero groups are
-        // already zeroed; full groups are straight copies).
-        let mut i = 0usize;
-        #[cfg(all(
-            target_arch = "x86_64",
-            target_feature = "avx512f",
-            target_feature = "avx512bw",
-            target_feature = "avx512vbmi2"
-        ))]
-        while i + 64 <= n {
-            // Whole-line expansion: eight bitmap bytes form the 64-bit
-            // scatter mask directly; the up-front `needed <= avail` check
-            // guarantees the payload holds every flagged byte.
-            let mask = u64::from_le_bytes(bitmap[i >> 3..(i >> 3) + 8].try_into().unwrap());
-            let dst: &mut [u8; 64] = (&mut out[i..i + 64]).try_into().unwrap();
-            line::expand64(mask, &payload[*cursor..], dst);
-            *cursor += mask.count_ones() as usize;
-            i += 64;
-        }
-        while i + 8 <= n {
-            let mask = bitmap[i >> 3];
-            if mask == 0 {
-                i += 8;
-                continue;
-            }
-            if mask == 0xFF {
-                out[i..i + 8].copy_from_slice(&payload[*cursor..*cursor + 8]);
-                *cursor += 8;
-                i += 8;
-                continue;
-            }
-            // Scatter the flagged bytes by set-bit iteration (ascending,
-            // matching the encoder's emission order).
-            let mut m = mask;
-            while m != 0 {
-                out[i + m.trailing_zeros() as usize] = payload[*cursor];
-                *cursor += 1;
-                m &= m - 1;
-            }
-            i += 8;
-        }
-        while i < n {
-            if bitmap[i >> 3] >> (i & 7) & 1 == 1 {
-                out[i] = payload[*cursor];
-                *cursor += 1;
-            }
-            i += 1;
-        }
+        return Ok(());
+    }
+    // Zero-fill rule: the inverse of `build_nonzero_into`. The up-front
+    // `needed <= avail` check guarantees the payload holds every flagged
+    // byte.
+    let mut lines = out.chunks_exact_mut(64);
+    for (l, bm) in (&mut lines).zip(bitmap.chunks_exact(8)) {
+        let mask = u64::from_le_bytes(bm.try_into().unwrap());
+        line::expand(mask, &payload[*cursor..], l.try_into().unwrap());
+        *cursor += mask.count_ones() as usize;
+    }
+    let head = n - lines.into_remainder().len();
+    for (g, &bm) in out[head..].chunks_mut(8).zip(&bitmap[head / 8..]) {
+        // Bits past `n` in a partial final group are not survivors.
+        let mask = bm & (0xFF >> (8 - g.len()));
+        g.copy_from_slice(&expand_group(mask, &payload[*cursor..])[..g.len()]);
+        *cursor += mask.count_ones() as usize;
     }
     Ok(())
+}
+
+/// Expand the level bitmaps at the head of `payload` (for an `n`-byte
+/// input) down to the level-0 nonzero bitmap, which lands in `level0`;
+/// `tmp` is the ping-pong partner. Returns the payload cursor past the
+/// level bytes.
+fn expand_levels(
+    payload: &[u8],
+    n: usize,
+    level0: &mut Vec<u8>,
+    tmp: &mut Vec<u8>,
+) -> Result<usize> {
+    let top_len = level_len(n, LEVELS);
+    if payload.len() < top_len {
+        return Err(Error::Truncated {
+            offset: payload.len(),
+            needed: top_len - payload.len(),
+            have: 0,
+            what: "zero-elimination top bitmap",
+        });
+    }
+    level0.clear();
+    level0.extend_from_slice(&payload[..top_len]);
+    let mut cursor = top_len;
+    // Walk back down: bitmap_k flags the non-repeating bytes of bitmap_{k-1}.
+    for k in (0..LEVELS).rev() {
+        expand_into(level0, level_len(n, k), payload, &mut cursor, true, tmp)?;
+        std::mem::swap(level0, tmp);
+    }
+    Ok(cursor)
 }
 
 /// Decompress a payload produced by [`encode`] for an input of
@@ -801,26 +762,8 @@ pub fn decode_into(
     out: &mut Vec<u8>,
 ) -> Result<usize> {
     let n = uncompressed_len;
-    let top_len = level_len(n, LEVELS);
-    if payload.len() < top_len {
-        return Err(Error::Truncated {
-            offset: payload.len(),
-            needed: top_len - payload.len(),
-            have: 0,
-            what: "zero-elimination top bitmap",
-        });
-    }
-    s.bitmap_a.clear();
-    s.bitmap_a.extend_from_slice(&payload[..top_len]);
-    let mut cursor = top_len;
-    // Walk back down: bitmap_k flags the non-repeating bytes of bitmap_{k-1}.
-    for k in (0..LEVELS).rev() {
-        let lower_n = level_len(n, k);
-        expand_into(&s.bitmap_a, lower_n, payload, &mut cursor, true, &mut s.bitmap_b)?;
-        std::mem::swap(&mut s.bitmap_a, &mut s.bitmap_b);
-    }
-    // bitmap_a is now the nonzero-byte bitmap of the original data.
-    expand_into(&s.bitmap_a, n, payload, &mut cursor, false, out)?;
+    let mut cursor = expand_levels(payload, n, &mut s.level0, &mut s.levels.tmp)?;
+    expand_into(&s.level0, n, payload, &mut cursor, false, out)?;
     Ok(cursor)
 }
 
@@ -936,6 +879,60 @@ mod tests {
             let used = decode_into(&enc, input.len(), &mut s, &mut out).unwrap();
             assert_eq!(used, enc.len());
             assert_eq!(&out, input);
+        }
+    }
+
+    /// The dispatched line kernel (AVX-512 where the host has it) must
+    /// agree with the scalar definition on mask, count and survivor bytes,
+    /// and both must invert through either expand.
+    #[test]
+    fn line_kernels_agree() {
+        if !line::vector_available() {
+            eprintln!(
+                "line_kernels_agree: vector kernel skipped, host lacks AVX-512 BW/VBMI2 \
+                 (the scalar kernel is checked alone)"
+            );
+        }
+        let mut lines: Vec<[u8; 64]> =
+            vec![[0; 64], [0xFF; 64], std::array::from_fn(|i| i as u8 + 1)];
+        for i in 0..64 {
+            let mut l = [0u8; 64];
+            l[i] = 0x80 | i as u8;
+            lines.push(l);
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for zero_eighths in 0..=8u64 {
+            for _ in 0..2000 {
+                lines.push(std::array::from_fn(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x % 8 < zero_eighths {
+                        0
+                    } else {
+                        (x >> 32) as u8 | 1
+                    }
+                }));
+            }
+        }
+        for l in &lines {
+            let (mut dv, mut ds) = ([0u8; 64], [0u8; 64]);
+            let (mv, nv) = line::compress(l, &mut dv);
+            let (ms, ns) = line::compress_scalar(l, &mut ds);
+            assert_eq!((mv, nv), (ms, ns), "line {l:?}");
+            assert_eq!(dv[..nv], ds[..ns], "line {l:?}");
+            assert_eq!(ms, (0..64).fold(0u64, |m, i| m | ((l[i] != 0) as u64) << i));
+            let survivors: Vec<u8> = l.iter().copied().filter(|&b| b != 0).collect();
+            assert_eq!(ds[..ns], survivors[..]);
+            // Expand reads only the survivors; a longer source must not
+            // change the result.
+            for src in [&ds[..ns], &ds[..]] {
+                let (mut ev, mut es) = ([0xAAu8; 64], [0x55u8; 64]);
+                line::expand(ms, src, &mut ev);
+                line::expand_scalar(ms, src, &mut es);
+                assert_eq!(&ev, l);
+                assert_eq!(&es, l);
+            }
         }
     }
 
